@@ -58,7 +58,10 @@ struct ResilienceStats {
   // subset of a classic loss whose final failed attempt was fault-caused.
   std::uint64_t lost_to_down_target = 0;  ///< last attempt hit a fault-down relay
   std::uint64_t lost_to_bs_outage = 0;    ///< last attempt was an outage-suppressed BS uplink
-  std::uint64_t lost_during_degradation = 0;  ///< other link losses inside an episode
+  /// Every other link loss while a degradation episode is active: channel
+  /// failures, MAC collisions, and receivers down for a non-fault reason
+  /// (a dead battery). Hop-budget (routing-cycle) losses are not refined.
+  std::uint64_t lost_during_degradation = 0;
   std::uint64_t lost_at_down_node = 0;    ///< buffered packets stranded when their holder went down
 
   /// Member-rounds spent with no operational cluster head to send to

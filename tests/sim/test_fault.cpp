@@ -217,21 +217,44 @@ TEST(Fault, BsOutageSuppressesAllDirectDeliveries) {
 }
 
 TEST(Fault, TotalLinkDegradationKillsEveryAttempt) {
-  SimConfig cfg = traced_config(4);
-  cfg.fault.enabled = true;
-  FaultEvent e;
-  e.kind = FaultKind::kLinkDegrade;
-  e.round = 0;
-  e.duration = 4;
-  e.severity = 0.0;  // success probability scaled to zero
-  cfg.fault.plan.events.push_back(e);
-  const SimResult r = run_direct(cfg);
+  // Inside a whole-run degradation episode every link loss counts toward
+  // lost_during_degradation, whatever failed: the channel (a severed link
+  // on the ideal path) or contention (collisions on a crowded MAC).
+  struct Case {
+    const char* name;
+    double severity;
+    bool contended_mac;
+  };
+  for (const Case& c : {Case{"ideal, severed", 0.0, false},
+                        Case{"mac, contended", 0.5, true}}) {
+    SCOPED_TRACE(c.name);
+    SimConfig cfg = traced_config(4);
+    cfg.fault.enabled = true;
+    FaultEvent e;
+    e.kind = FaultKind::kLinkDegrade;
+    e.round = 0;
+    e.duration = 4;
+    e.severity = c.severity;  // success probability multiplier
+    cfg.fault.plan.events.push_back(e);
+    if (c.contended_mac) {
+      cfg.mean_interarrival = 1.0;
+      cfg.mac.enabled = true;
+      cfg.mac.cca_range = 500.0;
+      cfg.mac.airtime_subslots = 3;
+    }
+    const SimResult r = run_direct(cfg);
 
-  EXPECT_GT(r.generated, 0u);
-  EXPECT_EQ(r.delivered, 0u);
-  EXPECT_EQ(r.resilience.degraded_rounds, 4u);
-  EXPECT_EQ(r.lost_link, r.generated);
-  EXPECT_EQ(r.resilience.lost_during_degradation, r.lost_link);
+    EXPECT_GT(r.generated, 0u);
+    EXPECT_EQ(r.resilience.degraded_rounds, 4u);
+    if (c.contended_mac) {
+      EXPECT_GT(r.mac.totals.drop_collision, 0u);
+      EXPECT_GT(r.mac.totals.drop_channel, 0u);
+    } else {
+      EXPECT_EQ(r.delivered, 0u);
+      EXPECT_EQ(r.lost_link, r.generated);
+    }
+    EXPECT_EQ(r.resilience.lost_during_degradation, r.lost_link);
+  }
 }
 
 TEST(Fault, CrashedMemberStopsSensing) {
