@@ -17,9 +17,17 @@
 
 namespace {
 
+/// "qlec|ideec|..." over the whole registry, so the help cannot drift
+/// from what make_protocol accepts.
+std::string protocol_choices() {
+  std::string out;
+  for (const std::string& name : qlec::protocol_names())
+    out += (out.empty() ? "" : "|") + name;
+  return out;
+}
+
 const std::vector<std::pair<std::string, std::string>> kOptions = {
-    {"--protocol <name>", "qlec|kmeans|fcm|leach|deec|heed|tl-leach|direct "
-                          "(default qlec)"},
+    {"--protocol <name>", protocol_choices() + " (default qlec)"},
     {"--n <int>", "node count (default 100)"},
     {"--m <meters>", "cube side (default 200)"},
     {"--energy <J>", "initial energy per node (default 5)"},
