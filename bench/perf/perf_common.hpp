@@ -155,21 +155,20 @@ inline std::string slurp(const std::string& path) {
   return s;
 }
 
-/// Pulls `field` out of the case object for node count `n` in a previously
-/// emitted BENCH document — a targeted scan, not a JSON parser, sufficient
-/// because the documents are machine-written by write_bench_file. Returns
-/// NaN when not found.
-inline double baseline_field(const std::string& doc, std::size_t n,
+/// `field` of the case object for node count `n` in the top-level "cases"
+/// array of a previously emitted BENCH document. Returns NaN when there is
+/// no such case or field.
+inline double baseline_field(const JsonValue& doc, std::size_t n,
                              const std::string& field) {
-  const std::string n_tag = "\"n\":" + std::to_string(n) + ",";
-  const std::size_t at = doc.find(n_tag);
-  if (at == std::string::npos) return std::nan("");
-  const std::string f_tag = '"' + field + "\":";
-  const std::size_t f = doc.find(f_tag, at);
-  const std::size_t obj_end = doc.find('}', at);
-  if (f == std::string::npos || (obj_end != std::string::npos && f > obj_end))
-    return std::nan("");
-  return std::strtod(doc.c_str() + f + f_tag.size(), nullptr);
+  const JsonValue* cases = doc.get("cases");
+  if (cases == nullptr) return std::nan("");
+  for (const JsonValue& c : cases->items()) {
+    const JsonValue* cn = c.get("n");
+    if (cn == nullptr || cn->as_double() != static_cast<double>(n)) continue;
+    const JsonValue* f = c.get(field);
+    return f != nullptr && f->is_number() ? f->as_double() : std::nan("");
+  }
+  return std::nan("");
 }
 
 }  // namespace qlec::perf

@@ -104,9 +104,9 @@ int main() {
   const std::string baseline = perf::slurp(env::perf_baseline());
   if (!baseline.empty()) {
     std::printf("\nspeedup vs baseline (%s):\n", env::perf_baseline().c_str());
+    const JsonValue doc = parse_json(baseline).value_or(JsonValue{});
     for (const perf::CaseResult& c : cases) {
-      const double base =
-          perf::baseline_field(baseline, c.n, "rounds_per_sec");
+      const double base = perf::baseline_field(doc, c.n, "rounds_per_sec");
       if (std::isnan(base) || base <= 0.0) continue;
       std::printf("  N=%-7zu %.2fx rounds/sec\n", c.n,
                   c.rounds_per_sec() / base);
