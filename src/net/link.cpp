@@ -20,10 +20,6 @@ bool LinkModel::attempt(double d, Rng& rng) const noexcept {
   return rng.bernoulli(success_probability(d));
 }
 
-bool LinkModel::attempt_bs(double d, Rng& rng) const noexcept {
-  return rng.bernoulli(bs_success_probability(d));
-}
-
 LinkEstimator::LinkEstimator(std::size_t window, double prior_successes,
                              double prior_attempts) noexcept
     : window_(std::clamp<std::size_t>(window, 1, 64)),

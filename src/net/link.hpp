@@ -28,7 +28,6 @@ struct LinkModel {
   double bs_success_probability(double d) const noexcept;
   /// One Bernoulli transmission attempt over distance d.
   bool attempt(double d, Rng& rng) const noexcept;
-  bool attempt_bs(double d, Rng& rng) const noexcept;
 
   friend bool operator==(const LinkModel&, const LinkModel&) = default;
 };
