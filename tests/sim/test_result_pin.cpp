@@ -82,16 +82,8 @@ std::uint64_t result_hash(const SimResult& r) {
   for (const std::uint64_t v :
        {r.generated, r.delivered, r.lost_link, r.lost_queue, r.lost_dead})
     h.u64(v);
-  // Ledger buckets to 12 significant digits: the sharded HELLO walk
-  // commits the same per-node charges in a different cross-node order, so
-  // bucket sums may differ from the serial run in the last ulp (see
-  // QlecProtocol::charge_hello_sharded). Every per-node figure is exact.
-  for (int u = 0; u < static_cast<int>(EnergyUse::kCount_); ++u) {
-    char bucket[32];
-    std::snprintf(bucket, sizeof bucket, "%.12g",
-                  r.energy.by_use(static_cast<EnergyUse>(u)));
-    h.str(bucket);
-  }
+  for (int u = 0; u < static_cast<int>(EnergyUse::kCount_); ++u)
+    h.f64(r.energy.by_use(static_cast<EnergyUse>(u)));
   h.doubles(r.energy.per_node());
   h.f64(r.total_energy_consumed);
   h.doubles(r.per_node_consumed);
