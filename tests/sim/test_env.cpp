@@ -3,7 +3,7 @@
 // randomized worlds, attenuation monotonicity, the zero-obstruction
 // byte-identity leg of the digest contract, water/harvest math, BsTrajectory
 // determinism across shard counts and ExecPolicy, harvest-credit ledger
-// reconciliation (fault storms included), and the moved-BS memo-invalidation
+// reconciliation (fault storms included), and the moved-BS rerouting
 // regression for the QlecRouter.
 #include <gtest/gtest.h>
 
@@ -332,19 +332,20 @@ TEST(Env, HarvestCreditsReconcileUnderFaultStorm) {
 
 // ---- the BsPlacement x trajectory seam ----
 
-TEST(QlecRouterMemo, MovedBsInvalidatesCachedDistances) {
-  // The per-round y memo caches normalized BS transmission costs. A
-  // trajectory moves the sink at the round boundary, so a new round MUST
-  // see fresh y values — a stale memo would keep routing toward where the
-  // BS used to be.
+TEST(QlecRouterSink, MovedBsReroutesByFreshDistances) {
+  // choose_target prices the direct-to-BS action by y(src, BS), read from
+  // the sink's current position. A trajectory moves the sink at the round
+  // boundary, so the new round MUST route by the new distance — anything
+  // that kept the old one would keep routing toward where the BS used to
+  // be.
   Rng rng(5);
   ScenarioConfig sc;
   sc.n = 20;
   sc.bs = BsPlacement::kCorner;  // BS starts far away at (200, 200, 200)
   Network net = make_uniform_network(sc, rng);
   // Deterministic geometry: the head sits 5 units from src, the corner BS
-  // ~340 away — with a stale memo the head wins, with a fresh one the
-  // co-located BS must.
+  // ~340 away — priced by the old distance the head wins, by the new one
+  // the co-located BS must.
   const int src = 0;
   const int head = 1;
   net.node(src).pos = {5, 5, 5};
@@ -358,7 +359,7 @@ TEST(QlecRouterMemo, MovedBsInvalidatesCachedDistances) {
   QlecRouter router(params, RadioModel{}, net.size());
   const double bits = 4000.0;
 
-  // Round 0: fill the memo with the far-corner BS geometry.
+  // Round 0: route once under the far-corner BS geometry.
   router.begin_round({head});
   (void)router.choose_target(net, src, bits, rng);
 
@@ -367,11 +368,11 @@ TEST(QlecRouterMemo, MovedBsInvalidatesCachedDistances) {
   router.begin_round({head});
   const int chosen = router.choose_target(net, src, bits, rng);
 
-  // Memo-free oracle: with the BS co-located, direct uplink dominates.
+  // Per-action oracle: with the BS co-located, direct uplink dominates.
   EXPECT_GT(router.q_value(net, src, kBaseStationId, bits),
             router.q_value(net, src, head, bits));
   EXPECT_EQ(chosen, kBaseStationId)
-      << "choose_target routed by a stale BS-distance memo";
+      << "choose_target routed by the sink's previous position";
 }
 
 }  // namespace
