@@ -1,13 +1,13 @@
 // Intra-round execution context for the sharded round core (DESIGN.md §12).
 //
-// A round's RNG-free per-node phases — election precompute, HELLO coverage
-// queries, nearest-head assignment, TX y-row prefill — fan out over spatial
-// region shards through this context; everything RNG-consuming or
-// order-sensitive stays on the calling thread and merges shard results in
-// canonical (node-id or head-index) order. The determinism contract:
-// changing the shard count (including to 1) or the pool width must never
-// change a single bit of simulation output — sharded phases perform only
-// disjoint per-node writes of values that are themselves shard-invariant.
+// A round's RNG-free per-node phases — election precompute, nearest-head
+// assignment — fan out over spatial region shards through this context;
+// everything RNG-consuming or order-sensitive stays on the calling thread
+// and merges shard results in canonical (node-id or head-index) order. The
+// determinism contract: changing the shard count (including to 1) or the
+// pool width must never change a single bit of simulation output — sharded
+// phases perform only disjoint per-node writes of values that are
+// themselves shard-invariant.
 //
 // This reuses the ExecPolicy machinery one level down: the simulator owns a
 // dedicated pool per run (ExecPolicy::pool semantics) precisely so a SimRun
