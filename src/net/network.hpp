@@ -28,9 +28,9 @@ class Network {
   const Aabb& domain() const noexcept { return domain_; }
   const Vec3& bs() const noexcept { return bs_; }
   /// Moves the sink (BsTrajectory advances it at round boundaries). Every
-  /// BS-distance consumer reads through bs()/dist_to_bs per round — the
-  /// QlecRouter y-memo is round-token-invalidated — so a moved sink is
-  /// visible immediately and nothing caches the old position.
+  /// BS-distance consumer, QlecRouter's y(src, BS) included, reads through
+  /// bs()/dist_to_bs when it needs the distance, so a moved sink is visible
+  /// immediately and nothing caches the old position.
   void set_bs(const Vec3& bs) noexcept { bs_ = bs; }
 
   SensorNode& node(int id) { return nodes_.at(static_cast<std::size_t>(id)); }

@@ -72,9 +72,10 @@ class ClusteringProtocol {
 
   /// Called once per round after election and the simulator's state
   /// refresh, before the first slot: a protocol may hoist per-round TX
-  /// precomputation here (e.g. QLEC prefills its y-cost rows with the SIMD
-  /// kernels). Must be behaviorally invisible — routing decisions, energy,
-  /// and traces are bit-identical whether or not anything is precomputed.
+  /// precomputation here (no registry protocol does; QLEC computes its y
+  /// costs per route). Must be behaviorally invisible — routing decisions,
+  /// energy, and traces are bit-identical whether or not anything is
+  /// precomputed.
   virtual void prepare_tx(const Network& net, double packet_bits) {
     (void)net;
     (void)packet_bits;

@@ -721,9 +721,8 @@ SimResult SimRun::run() {
     // the hierarchy from containment on one track).
     obs::PhaseTimer round_span(tracer_, "round");
     // A mobile sink advances FIRST, on the main thread: everything this
-    // round — routing distances, link draws, the QlecRouter y-memo (whose
-    // round tokens invalidate below in on_round_start) — sees the new
-    // position, and no Rng is consulted, so stream alignment holds.
+    // round — routing distances, link draws — sees the new position, and
+    // no Rng is consulted, so stream alignment holds.
     if (traj_) {
       bs_ = traj_->position(round);
       net_.set_bs(bs_);
@@ -760,8 +759,8 @@ SimResult SimRun::run() {
         for (const int h : heads)
           rs_.queue_slot[static_cast<std::size_t>(h)] = -1;
       refresh_round_state();
-      // Per-round TX precompute hook (QLEC prefills its y rows through the
-      // SIMD kernels when sharded); behaviorally invisible by contract.
+      // Per-round TX precompute hook (no registry protocol overrides it;
+      // instrumented wrappers time it); behaviorally invisible by contract.
       protocol_.prepare_tx(net_, cfg_.packet_bits);
     }
     result_.heads_per_round.add(static_cast<double>(heads.size()));
