@@ -1,6 +1,9 @@
-// Shared configuration for the figure benches: the Section 5.1 experiment
-// setup (N = 100 nodes, 200^3 cube, 5 J, R = 20 rounds, k_opt ≈ 5) and the
-// lambda sweep simulating the paper's "four network conditions".
+// Shared configuration for the benches: the Section 5.1 experiment setup
+// (N = 100 nodes, 200^3 cube, 5 J, R = 20 rounds, k_opt ≈ 5) and the
+// lambda sweep simulating the paper's "four network conditions". The
+// committed scenarios examples/scenarios/fig3_sweep.json and
+// fig3_lifespan.json express the same grid for qlec_run; the CliGolden
+// test pins every cell of them to paper_config / lifespan_config.
 //
 // Environment knobs:
 //   QLEC_BENCH_SEEDS=<n>  replications per point (default 5)
@@ -38,12 +41,6 @@ inline ExperimentConfig paper_config(double lambda) {
   cfg.sim.death_line = -1.0;  // §5.1: death line lowered for PDR/energy runs
   cfg.seeds = seeds();
   cfg.protocol.qlec.total_rounds = cfg.sim.rounds;
-  // QLEC_MAC=1 swaps every bench onto the contention-aware MAC sub-phase
-  // (DESIGN.md §14) without touching the bench code; QLEC_ENV=1 likewise
-  // constructs the (default obstruction-free, hence value-neutral)
-  // propagation environment of DESIGN.md §16.
-  cfg.sim.mac.enabled = env::mac();
-  cfg.sim.env.enabled = env::environment();
   return cfg;
 }
 

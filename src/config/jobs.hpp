@@ -9,9 +9,9 @@
 //             this process or any earlier run sharing the store directory —
 //             returns its CellResult without re-simulation
 //
-// run_grid() remains as a thin compatibility wrapper, so every existing
-// caller (qlec_run, compare_all, the golden tests) sees identical behavior;
-// qlec_serve and the load bench drive this interface directly.
+// run_grid() remains as a thin compatibility wrapper for its callers
+// (world_sweep, the golden and sweep tests); qlec_run, qlec_serve and the
+// perfbench serve_mix workload drive this interface directly.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,7 @@
 // Blocking HTTP/1.1 client for talking to qlec_serve: one request per
 // connection, mirroring the server's "Connection: close" framing. Used by
-// qlec_submit, the serve_load bench, and the serve tests; small enough to
-// need no third-party HTTP stack.
+// qlec_submit, the perfbench serve_mix workload, and the serve tests; small
+// enough to need no third-party HTTP stack.
 #pragma once
 
 #include <cstdint>

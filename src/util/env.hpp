@@ -13,14 +13,6 @@
 //                            = serial round core)
 //   QLEC_FAULT_INTENSITY=<x> extra multiplier (> 0, default 1) on every
 //                            hazard rate in the resilience sweep
-//   QLEC_MAC=1               enable the contention-aware MAC/PHY sub-phase
-//                            (sim.mac.enabled) in the benches' base
-//                            configs (DESIGN.md §14)
-//   QLEC_ENV=1               enable the terrain-aware propagation
-//                            environment (sim.env.enabled) in the benches'
-//                            base configs (DESIGN.md §16); the default
-//                            EnvConfig is obstruction-free, so this alone
-//                            leaves every result byte-identical
 //   QLEC_RUN_JOBS=<n>        qlec_run seed fan-out width (0/unset = serial;
 //                            --jobs/--serial override)
 //   QLEC_SERVE_CACHE=<dir>   default ResultStore directory for qlec_serve
@@ -96,14 +88,6 @@ inline std::string perf_baseline() { return str("QLEC_PERF_BASELINE"); }
 inline int perf_shards() {
   return static_cast<int>(positive_int("QLEC_PERF_SHARDS", 0));
 }
-
-/// QLEC_MAC: flip sim.mac.enabled on in the benches' base configs (the
-/// slotted-CSMA contention sub-phase; see DESIGN.md §14).
-inline bool mac() { return flag("QLEC_MAC"); }
-
-/// QLEC_ENV: flip sim.env.enabled on in the benches' base configs (the
-/// terrain-aware propagation environment; see DESIGN.md §16).
-inline bool environment() { return flag("QLEC_ENV"); }
 
 /// QLEC_TELEMETRY: enable the obs/ telemetry layer with in-memory sinks.
 inline bool telemetry() { return flag("QLEC_TELEMETRY"); }

@@ -23,7 +23,6 @@
 #include <functional>
 #include <vector>
 
-#include "util/arena.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qlec {
@@ -43,14 +42,12 @@ class ExecContext {
   /// `pool` may be null (shards run inline, same decomposition); it is
   /// borrowed and must outlive this context.
   ExecContext(ThreadPool* pool, int shards)
-      : pool_(pool),
-        shards_(std::max(1, shards)),
-        arenas_(static_cast<std::size_t>(std::max(1, shards))) {}
+      : pool_(pool), shards_(std::max(1, shards)) {}
 
   int shards() const noexcept { return shards_; }
 
   /// Installs this round's node partition (disjoint cover of [0, n_nodes);
-  /// see geom/region_shards.hpp) and resets the per-shard arenas.
+  /// see geom/region_shards.hpp).
   void begin_round(std::vector<std::vector<std::uint32_t>> partition,
                    std::size_t n_nodes) {
     partition_ = std::move(partition);
@@ -58,7 +55,6 @@ class ExecContext {
     for (std::size_t s = 0; s < partition_.size(); ++s)
       for (const std::uint32_t id : partition_[s])
         shard_of_[id] = static_cast<std::uint32_t>(s);
-    for (Arena& a : arenas_) a.reset();
   }
 
   bool has_partition() const noexcept { return !partition_.empty(); }
@@ -68,10 +64,6 @@ class ExecContext {
   int shard_of(std::uint32_t node) const {
     return static_cast<int>(shard_of_[node]);
   }
-
-  /// Per-shard bump arena for task scratch; reset every round, so steady
-  /// state is allocation-free. Only the shard's own task may touch it.
-  Arena& arena(int s) { return arenas_[static_cast<std::size_t>(s)]; }
 
   /// Runs fn(shard) for every shard — on the pool when present, inline
   /// otherwise. Blocks until all complete; exceptions propagate (first one
@@ -108,7 +100,6 @@ class ExecContext {
   int shards_;
   std::vector<std::vector<std::uint32_t>> partition_;
   std::vector<std::uint32_t> shard_of_;
-  std::vector<Arena> arenas_;
 };
 
 }  // namespace qlec

@@ -1,7 +1,8 @@
 // Golden integration tests for the committed scenario files: the
 // declarative path (scenario JSON -> expand -> run) must reproduce the
-// exact digests the code-driven golden harness committed, and the Fig. 3
-// sweep file must expand to the documented grid. The ctest targets
+// exact digests the code-driven golden harness committed, the Fig. 3
+// sweep file must expand to the documented grid, and every paper scenario
+// must equal the bench_common.hpp config it stands for. The ctest targets
 // qlec_run.golden_paper51 / qlec_run.dry_run_grid cover the same ground
 // through the real binary.
 //
@@ -10,10 +11,15 @@
 // digests are owned by tests/sim/test_golden_traces.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
+#include "config/jobs.hpp"
 #include "config/runner.hpp"
 #include "sim/protocols/registry.hpp"
 #include "util/csv.hpp"
@@ -91,26 +97,107 @@ TEST(CliGolden, Paper51MatchesCommittedDigest) {
 }
 
 TEST(CliGolden, Fig3SweepExpandsToDocumentedGrid) {
-  // The --dry-run grid-shape contract for the committed sweep file.
+  // The --dry-run grid-shape contract for the committed sweep file: the
+  // whole registry crossed with the four congestion levels of §5.2.
   const auto cells =
       expand_grid(parse_scenario(scenario_text("fig3_sweep.json")));
-  ASSERT_EQ(cells.size(), 9u);
-  const std::vector<std::string> protocols = {"qlec", "fcm", "kmeans"};
-  const std::vector<double> lambdas = {2.0, 4.0, 8.0};
+  const std::vector<std::string> protocols = protocol_names();
+  const std::vector<double> lambdas = bench::lambda_sweep();
+  ASSERT_EQ(cells.size(), protocols.size() * lambdas.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(cells[i].config.protocol.name, protocols[i / 3]) << i;
-    EXPECT_DOUBLE_EQ(cells[i].config.sim.mean_interarrival, lambdas[i % 3])
+    EXPECT_EQ(cells[i].config.protocol.name, protocols[i / lambdas.size()])
+        << i;
+    EXPECT_DOUBLE_EQ(cells[i].config.sim.mean_interarrival,
+                     lambdas[i % lambdas.size()])
         << i;
     EXPECT_EQ(cells[i].config.scenario.n, 100u);
-    EXPECT_EQ(cells[i].config.seeds, 3u);
+    EXPECT_EQ(cells[i].config.seeds, 5u);
+  }
+}
+
+TEST(CliGolden, PaperScenariosMatchBenchConfigs) {
+  // The committed scenarios are the one definition of the §5.1 grid and of
+  // its ablations: every cell must key-equal the bench_common.hpp builder
+  // it replaces, with the cell's swept fields applied. Unset the bench
+  // knobs first so the builders return their full-size configs.
+  unsetenv("QLEC_BENCH_FAST");
+  unsetenv("QLEC_BENCH_SEEDS");
+  struct Case {
+    const char* file;
+    ExperimentConfig (*expected)(const ExperimentConfig& cell);
+  };
+  const Case cases[] = {
+      {"fig3_sweep.json",
+       [](const ExperimentConfig& c) {
+         ExperimentConfig e = bench::paper_config(c.sim.mean_interarrival);
+         e.protocol.name = c.protocol.name;
+         return e;
+       }},
+      {"fig3_lifespan.json",
+       [](const ExperimentConfig& c) {
+         ExperimentConfig e = bench::lifespan_config(c.sim.mean_interarrival);
+         e.protocol.name = c.protocol.name;
+         return e;
+       }},
+      {"ablation_gamma.json",
+       [](const ExperimentConfig& c) {
+         ExperimentConfig e = bench::paper_config(2.0);
+         e.protocol.name = "qlec";
+         e.protocol.qlec.gamma = c.protocol.qlec.gamma;
+         return e;
+       }},
+      {"ablation_heterogeneity.json",
+       [](const ExperimentConfig& c) {
+         ExperimentConfig e = bench::lifespan_config(4.0);
+         e.protocol.name = c.protocol.name;
+         e.scenario.energy_heterogeneity = c.scenario.energy_heterogeneity;
+         return e;
+       }},
+      {"ablation_ksweep.json",
+       [](const ExperimentConfig& c) {
+         ExperimentConfig e = bench::lifespan_config(4.0);
+         e.protocol.name = "qlec";
+         e.protocol.qlec.force_k = c.protocol.qlec.force_k;
+         return e;
+       }},
+      {"ablation_ksweep_eq6.json",
+       [](const ExperimentConfig& c) {
+         ExperimentConfig e = bench::paper_config(20.0);
+         e.protocol.name = "qlec";
+         e.sim.aggregation = Aggregation::kFixedSummary;
+         e.protocol.qlec.force_k = c.protocol.qlec.force_k;
+         return e;
+       }},
+      {"ablation_mobility.json",
+       [](const ExperimentConfig& c) {
+         ExperimentConfig e = bench::paper_config(4.0);
+         e.protocol.name = c.protocol.name;
+         e.sim.mobility.kind = MobilityKind::kRandomWaypoint;
+         e.sim.mobility.speed = c.sim.mobility.speed;
+         return e;
+       }},
+  };
+  for (const Case& c : cases) {
+    const auto cells = expand_grid(parse_scenario(scenario_text(c.file)));
+    ASSERT_FALSE(cells.empty()) << c.file;
+    for (const SweepCell& cell : cells)
+      EXPECT_EQ(job_key(cell.config), job_key(c.expected(cell.config)))
+          << c.file << " " << cell.label;
   }
 }
 
 TEST(CliGolden, AllCommittedScenariosParseAndExpand) {
-  for (const char* file : {"paper_51.json", "golden_replay.json",
-                           "fig3_sweep.json", "resilience.json"}) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(QLEC_SCENARIO_DIR))
+    if (entry.is_regular_file() && entry.path().extension() == ".json")
+      files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  EXPECT_GE(files.size(), 12u);
+  for (const std::filesystem::path& file : files) {
     std::vector<SweepCell> cells;
-    ASSERT_NO_THROW(cells = expand_grid(parse_scenario(scenario_text(file))))
+    ASSERT_NO_THROW(cells = expand_grid(parse_scenario(
+                        scenario_text(file.filename().string()))))
         << file;
     EXPECT_FALSE(cells.empty()) << file;
   }

@@ -1,12 +1,14 @@
 // The qlec_serve stack end to end, in process: HTTP framing, the
 // JobService REST surface (validation errors, run lifecycle, manifests,
-// cancellation), and the second-submission cache guarantee — all over a
-// real loopback socket on an ephemeral port.
+// cancellation), the second-submission cache guarantee and concurrent
+// deduplication — all over a real loopback socket on an ephemeral port.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "config/runner.hpp"
 #include "config/version.hpp"
@@ -169,6 +171,26 @@ TEST_F(ServeTest, RunLifecycleAndSecondSubmissionIsAllCache) {
   EXPECT_NE(stats.body.find("\"simulated\":2"), std::string::npos)
       << stats.body;
   (void)m2;
+}
+
+TEST_F(ServeTest, ConcurrentIdenticalGridsSimulateEachCellOnce) {
+  // C loopback clients race the SAME grid: every cell simulates exactly
+  // once; the other submissions coalesce onto the live job or hit the
+  // store.
+  constexpr std::size_t kClients = 3;
+  std::vector<int> status(kClients, 0);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c)
+    clients.emplace_back([this, c, &status] {
+      const auto resp = http_request("127.0.0.1", server_.port(), "POST",
+                                     "/v1/runs?wait=1", kTinyScenario);
+      status[c] = resp ? resp->status : -1;
+    });
+  for (std::thread& t : clients) t.join();
+  for (const int s : status) EXPECT_EQ(s, 200);
+  const std::size_t cells =
+      config::expand_grid(config::parse_scenario(kTinyScenario)).size();
+  EXPECT_EQ(service_.runner().stats().simulated, cells);
 }
 
 TEST_F(ServeTest, CancelledRunHasNoManifest) {
