@@ -8,9 +8,11 @@
 //   ./build/apps/qlec_run scenario.json --set scenario.n=500 --dry-run
 //   ./build/apps/qlec_run examples/scenarios/paper_51.json --digest
 //       --expect-digests tests/golden/paper_51.qlec.digest
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "config/jobs.hpp"
@@ -29,8 +31,9 @@ const std::vector<std::pair<std::string, std::string>> kOptions = {
                              "expansion (repeatable; pins a matching sweep "
                              "axis)"},
     {"--dry-run", "print the expanded grid and exit without running"},
-    {"--jobs <n>", "fan replications out over n threads (0 = hardware "
-                   "default; QLEC_RUN_JOBS sets the default)"},
+    {"--jobs <n>", "run n cells at once, or a single cell's replications "
+                   "over n threads (0 = hardware default; QLEC_RUN_JOBS "
+                   "sets the default)"},
     {"--serial", "force serial execution (overrides --jobs and env)"},
     {"--out <dir>", "write manifest.json, manifest.csv and digests.txt "
                     "into <dir>"},
@@ -166,22 +169,37 @@ int main(int argc, char** argv) {
     if (args.has("jobs") || jobs > 0) exec = ExecPolicy::pool(jobs);
   }
 
-  // One cell at a time through the job layer (preserving run_grid's cell
-  // order and progress cadence), with an optional content-addressed cache:
-  // a cell whose key is already in the store replays without simulating.
+  // Every cell goes to the job layer up front and is awaited in plan order,
+  // so the manifest, CSV and digests are the same at any --jobs. A pool
+  // runs that many cells at once, each with its seeds serial (one level of
+  // threads, not jobs²); a single-cell grid fans its seeds out instead. An
+  // optional content-addressed cache replays a cell whose key is already
+  // in the store without simulating.
   const std::string cache_dir =
       args.get_string("serve-cache", env::serve_cache());
   config::RunManifest manifest;
   try {
     config::ResultStore store(cache_dir);
-    config::JobRunnerOptions run_opts;
-    run_opts.within_cell = exec;
-    run_opts.store = &store;
-    config::JobRunner runner(run_opts);
     const std::vector<config::JobSpec> specs = config::plan(cells);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
+    config::JobRunnerOptions run_opts;
+    run_opts.store = &store;
+    if (exec.is_pool() && specs.size() == 1) {
+      run_opts.within_cell = exec;
+    } else if (exec.is_pool()) {
+      const std::size_t jobs =
+          exec.threads() > 0
+              ? exec.threads()
+              : std::max(1u, std::thread::hardware_concurrency());
+      run_opts.workers = std::min(jobs, specs.size());
+    }
+    config::JobRunner runner(run_opts);
+    std::vector<config::JobHandle> handles;
+    handles.reserve(specs.size());
+    for (const config::JobSpec& spec : specs)
+      handles.push_back(runner.submit(spec));
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      manifest.cells.push_back(handles[i].await());
       progress(cells[i], i, cells.size());
-      manifest.cells.push_back(runner.submit(specs[i]).await());
     }
     if (!cache_dir.empty() && !g_quiet) {
       const config::ResultStore::Stats ss = store.stats();

@@ -3,7 +3,7 @@
 // JobRunner, and serve manifests out of a content-addressed ResultStore.
 //
 //   ./build/apps/qlec_serve --port 8423 --cache runs/cache
-//   curl -s -XPOST --data-binary @examples/scenarios/golden_replay.json \
+//   curl -s -XPOST --data-binary @examples/scenarios/golden_replay.json
 //       'http://127.0.0.1:8423/v1/runs?wait=1'
 //
 // The endpoint surface is documented in src/serve/service.hpp and

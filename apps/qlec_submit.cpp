@@ -3,10 +3,10 @@
 // the strict schema-versioned reader), and print it in the same formats as
 // qlec_run.
 //
-//   ./build/apps/qlec_submit examples/scenarios/paper_51.json \
+//   ./build/apps/qlec_submit examples/scenarios/paper_51.json
 //       --url http://127.0.0.1:8423
-//   ./build/apps/qlec_submit examples/scenarios/golden_replay.json \
-//       --url http://127.0.0.1:8423 --digest \
+//   ./build/apps/qlec_submit examples/scenarios/golden_replay.json
+//       --url http://127.0.0.1:8423 --digest
 //       --expect-digests <(cat tests/golden/*.digest)
 //   ./build/apps/qlec_submit scenario.json --expect-cached   # CI: assert a
 //       resubmission is served entirely from the ResultStore

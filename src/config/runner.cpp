@@ -298,13 +298,14 @@ std::string manifest_to_csv(const RunManifest& m) {
   std::string out =
       "label,protocol,seeds,pdr,pdr_ci95,energy_j,energy_ci95,"
       "latency_slots,first_death_round,half_death_round,heads_per_round,"
-      "generated,delivered\n";
+      "generated,delivered,first_death_ci95,lost_link,lost_queue,"
+      "lost_dead\n";
   char buf[256];
   for (const CellResult& c : m.cells) {
     out += csv_quote(c.label);
     std::snprintf(buf, sizeof buf,
                   ",%s,%zu,%.6f,%.6f,%.6f,%.6f,%.3f,%.1f,%.1f,%.3f,%.1f,"
-                  "%.1f\n",
+                  "%.1f,%.1f,%.1f,%.1f,%.1f\n",
                   c.metrics.protocol.c_str(), c.metrics.pdr.count(),
                   c.metrics.pdr.mean(), c.metrics.pdr.ci95_halfwidth(),
                   c.metrics.total_energy.mean(),
@@ -312,7 +313,10 @@ std::string manifest_to_csv(const RunManifest& m) {
                   c.metrics.mean_latency.mean(), c.metrics.first_death.mean(),
                   c.metrics.half_death.mean(),
                   c.metrics.heads_per_round.mean(), c.metrics.generated.mean(),
-                  c.metrics.delivered.mean());
+                  c.metrics.delivered.mean(),
+                  c.metrics.first_death.ci95_halfwidth(),
+                  c.metrics.lost_link.mean(), c.metrics.lost_queue.mean(),
+                  c.metrics.lost_dead.mean());
     out += buf;
   }
   return out;

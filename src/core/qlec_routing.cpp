@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "util/simd.hpp"
 
@@ -15,6 +16,25 @@ QlecRouter::QlecRouter(QlecParams params, RadioModel radio,
 void QlecRouter::begin_round(std::vector<int> heads) {
   heads_ = std::move(heads);
   max_v_delta_ = 0.0;
+  round_lanes_ = false;
+}
+
+void QlecRouter::build_lanes(const Network& net, int src) {
+  actions_.clear();
+  hx_.clear();
+  hy_.clear();
+  hz_.clear();
+  for (const int h : heads_) {
+    if (h == src) continue;
+    const Vec3& p = net.node(h).pos;
+    if (static_cast<std::size_t>(h) >= v_.size())
+      throw std::out_of_range("QlecRouter: head id has no V slot");
+    actions_.push_back(h);
+    hx_.push_back(p.x);
+    hy_.push_back(p.y);
+    hz_.push_back(p.z);
+  }
+  actions_.push_back(kBaseStationId);
 }
 
 double QlecRouter::x_of(const Network& net, int node_or_bs) const {
@@ -81,13 +101,18 @@ double QlecRouter::q_value(const Network& net, int src, int target,
 
 int QlecRouter::choose_target(const Network& net, int src, double bits,
                               Rng& rng) {
-  // Action set A(b_i): every current head except itself, plus the BS.
+  // Action set A(b_i): every current head except itself, plus the BS. For
+  // a sender outside heads_ that list and the head positions are the same
+  // all round.
+  if (std::find(heads_.begin(), heads_.end(), src) != heads_.end()) {
+    build_lanes(net, src);
+    round_lanes_ = false;
+  } else if (!round_lanes_) {
+    build_lanes(net, src);
+    round_lanes_ = true;
+  }
   int best = kBaseStationId;
   double best_q = -std::numeric_limits<double>::infinity();
-  actions_.clear();
-  for (const int h : heads_)
-    if (h != src) actions_.push_back(h);
-  actions_.push_back(kBaseStationId);
 
   // Inner Q loop, with the per-action-invariant terms hoisted. Every
   // arithmetic expression below matches q_value()/reward_success()/
@@ -98,27 +123,20 @@ int QlecRouter::choose_target(const Network& net, int src, double bits,
   const std::size_t kh = actions_.size() - 1;  // head actions; BS is last
   constexpr std::size_t kSimdThreshold = 8;
   if (kh >= kSimdThreshold) {
-    // SoA gather in actions_ order, one q_scan + argmax over the head
+    // SoA lanes in actions_ order, one q_scan + argmax over the head
     // actions, then the BS action scalar — the exact inline expressions of
     // the else branch, so best/best_q land bit-identically (the simd oracle
     // suite pins every kernel below to scalar semantics).
-    qs_p_.resize(kh);
+    qs_p_.resize(kh + 1);  // the BS action's p rides in the last slot
     qs_y_.resize(kh);
     qs_x_.resize(kh);
     qs_v_.resize(kh);
     qs_q_.resize(kh);
     const simd::Kernels& kr = simd::kernels();
-    // The y lane: y_of's distance -> Eq. 18 -> head-normalizer chain. The
-    // head positions ride in the p/x/v lanes until those are gathered.
-    for (std::size_t i = 0; i < kh; ++i) {
-      const Vec3& hp = net.node(actions_[i]).pos;
-      qs_p_[i] = hp.x;
-      qs_x_[i] = hp.y;
-      qs_v_[i] = hp.z;
-    }
+    // The y lane: y_of's distance -> Eq. 18 -> head-normalizer chain.
     const Vec3& sp = net.node(src).pos;
-    kr.dist_to_point(qs_p_.data(), qs_x_.data(), qs_v_.data(), kh, sp.x, sp.y,
-                     sp.z, qs_y_.data());
+    kr.dist_to_point(hx_.data(), hy_.data(), hz_.data(), kh, sp.x, sp.y, sp.z,
+                     qs_y_.data());
     const RadioParams& rp = radio_.params();
     kr.amp_energy(qs_y_.data(), kh, bits, rp.eps_fs, rp.eps_mp, radio_.d0(),
                   qs_q_.data());
@@ -128,11 +146,17 @@ int QlecRouter::choose_target(const Network& net, int src, double bits,
     } else {
       qs_y_.swap(qs_q_);
     }
+    estimator_.fill_estimates(src, actions_.data(), kh + 1, qs_p_.data());
+    // x_of() and v() per head, read directly: the lane build checked each
+    // id against net.node() and v_.
+    const SensorNode* nodes = net.nodes().data();
+    const double x_scale = params_.x_scale;
     for (std::size_t i = 0; i < kh; ++i) {
-      const int a = actions_[i];
-      qs_p_[i] = estimator_.estimate(src, a);
-      qs_x_[i] = x_of(net, a);
-      qs_v_[i] = v(a);
+      const auto a = static_cast<std::size_t>(actions_[i]);
+      const Battery& b = nodes[a].battery;
+      const double scale_a = x_scale > 0.0 ? x_scale : b.initial();
+      qs_x_[i] = scale_a > 0.0 ? b.residual() / scale_a : 0.0;
+      qs_v_[i] = v_[a];
     }
     const simd::QScanConsts c{.x_src = x_src,
                               .v_src = v_src_now,
@@ -158,7 +182,7 @@ int QlecRouter::choose_target(const Network& net, int src, double bits,
       const double r_f =
           -params_.g + params_.beta1 * x_src - params_.beta2 * y;
       const TwoOutcomeTransition t{
-          .p_success = estimator_.estimate(src, kBaseStationId),
+          .p_success = qs_p_[kh],
           .reward_success = r_s,
           .reward_failure = r_f,
           .v_success = v(kBaseStationId),

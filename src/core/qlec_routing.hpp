@@ -23,12 +23,19 @@ class QlecRouter {
   /// Installs this round's head set (Algorithm 1 line 8-9 output). V values
   /// persist across rounds — a node's V survives its head/member role
   /// changes, which is what lets learning accumulate.
+  ///
+  /// Contract: head positions stay fixed until the next begin_round. The
+  /// round's first choose_target from a sender outside `heads` caches the
+  /// action list and the head positions for every later such call (the
+  /// simulator moves nodes only before election; the BS position is not
+  /// cached and may move at any time).
   void begin_round(std::vector<int> heads);
 
   /// Algorithm 4 Send-Data(b_i): computes Q*(b_i, a_j) for every action,
   /// updates V*(b_i) to the max, and returns the argmax target (a head id or
   /// kBaseStationId). With params.epsilon > 0, explores uniformly with that
-  /// probability (V is still updated from the greedy max).
+  /// probability (V is still updated from the greedy max). Residual energy,
+  /// V and link estimates are read live on every call.
   int choose_target(const Network& net, int src, double bits, Rng& rng);
 
   /// ACK outcome of a member -> target attempt; feeds the link estimator.
@@ -69,6 +76,10 @@ class QlecRouter {
   /// y_of's normalizer: one value for every head target, one for the BS.
   double y_scale(int target, double bits) const;
   double& v_slot(int node_or_bs);
+  /// Fills actions_ (heads_ in list order minus `src`, then the BS) and
+  /// the head actions' positions. Throws std::out_of_range for a head id
+  /// outside `net` or v_, as x_of() and v() would.
+  void build_lanes(const Network& net, int src);
 
   QlecParams params_;
   RadioModel radio_;
@@ -80,10 +91,14 @@ class QlecRouter {
   double max_v_delta_ = 0.0;
 
   // ---- Hot-path scratch (no behavioural effect) ----
-  // The action list and the SoA lanes of the SIMD Q-scan, rebuilt by each
-  // choose_target call; members so the per-packet path allocates nothing
-  // once warm.
+  // The action list and head-position lanes. A call from a sender outside
+  // heads_ builds them once per round (round_lanes_) and later such calls
+  // reuse them; a head sender leaves itself out, so it rebuilds them.
   std::vector<int> actions_;
+  std::vector<double> hx_, hy_, hz_;
+  bool round_lanes_ = false;
+  // The per-call lanes of the SIMD Q-scan; members so the per-packet path
+  // allocates nothing once warm.
   std::vector<double> qs_p_, qs_y_, qs_x_, qs_v_, qs_q_;
 };
 

@@ -86,6 +86,22 @@ double LinkEstimator::estimate(int from, int to) const {
   return w == nullptr ? prior_s_ / prior_n_ : window_estimate(*w);
 }
 
+void LinkEstimator::fill_estimates(int from, const int* targets,
+                                   std::size_t n, double* out) const {
+  if (from < 0) {  // side-map sources: no per-source list to walk
+    for (std::size_t i = 0; i < n; ++i) out[i] = estimate(from, targets[i]);
+    return;
+  }
+  std::fill_n(out, n, prior_s_ / prior_n_);
+  const auto src = static_cast<std::size_t>(from);
+  if (src >= by_src_.size()) return;
+  for (const Entry& e : by_src_[src]) {
+    const double p = window_estimate(e.w);
+    for (std::size_t i = 0; i < n; ++i)
+      if (targets[i] == e.to) out[i] = p;
+  }
+}
+
 std::size_t LinkEstimator::observations(int from, int to) const {
   const Window* w = find(from, to);
   return w == nullptr ? 0 : w->count;

@@ -56,6 +56,13 @@ class LinkEstimator {
   /// Estimated success probability for from -> to (prior when unobserved).
   double estimate(int from, int to) const;
 
+  /// out[i] = estimate(from, targets[i]) for every i < n, bit for bit: the
+  /// prior into every slot, then one walk over `from`'s observed links
+  /// instead of n separate scans (the p lane of a Q-scan). Duplicate
+  /// targets and the BS sentinel are ordinary targets.
+  void fill_estimates(int from, const int* targets, std::size_t n,
+                      double* out) const;
+
   /// Number of recorded attempts currently inside the window.
   std::size_t observations(int from, int to) const;
 

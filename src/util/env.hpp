@@ -104,8 +104,9 @@ inline std::string telemetry_metrics() { return str("QLEC_TELEMETRY_METRICS"); }
 /// QLEC_TELEMETRY_VERBOSE: per-packet events (retry, q_update) too.
 inline bool telemetry_verbose() { return flag("QLEC_TELEMETRY_VERBOSE"); }
 
-/// QLEC_RUN_JOBS: default worker count for qlec_run's ExecPolicy (0 =
-/// serial, the safe default; explicit --jobs/--serial flags win).
+/// QLEC_RUN_JOBS: default qlec_run --jobs width, cells at once or one
+/// cell's seeds (0 = serial, the safe default; explicit --jobs/--serial
+/// flags win).
 inline std::size_t run_jobs() {
   return static_cast<std::size_t>(positive_int("QLEC_RUN_JOBS", 0));
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -192,7 +193,20 @@ TEST(SweepManifest, RunGridProducesMetricsAndCsv) {
     EXPECT_EQ(c.digests[0].size(), 16u);
   }
   const std::string csv = manifest_to_csv(m);
-  EXPECT_NE(csv.find("label,protocol,seeds"), std::string::npos);
+  EXPECT_EQ(csv.substr(0, csv.find('\n')),
+            "label,protocol,seeds,pdr,pdr_ci95,energy_j,energy_ci95,"
+            "latency_slots,first_death_round,half_death_round,"
+            "heads_per_round,generated,delivered,first_death_ci95,lost_link,"
+            "lost_queue,lost_dead");
+  // Every row has one field per header column.
+  std::size_t rows = 0;
+  for (std::size_t at = 0; at < csv.size(); ++rows) {
+    const std::size_t end = csv.find('\n', at);
+    const std::string row = csv.substr(at, end - at);
+    EXPECT_EQ(std::count(row.begin(), row.end(), ','), 16) << row;
+    at = end + 1;
+  }
+  EXPECT_EQ(rows, 3u);
   EXPECT_NE(csv.find("protocol.name=kmeans"), std::string::npos);
   const std::string digest_lines = manifest_digest_lines(m);
   EXPECT_NE(digest_lines.find("# protocol.name=direct"), std::string::npos);

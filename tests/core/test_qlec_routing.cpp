@@ -254,9 +254,10 @@ SendDataOracle send_data_oracle(const QlecRouter& router, const Network& net,
   return o;
 }
 
-/// One choose_target call checked bit-for-bit against the oracle.
-void expect_matches_oracle(QlecRouter& router, const Network& net, int src,
-                           double bits, Rng& rng) {
+/// One choose_target call checked bit-for-bit against the oracle; returns
+/// the target it chose.
+int expect_matches_oracle(QlecRouter& router, const Network& net, int src,
+                          double bits, Rng& rng) {
   const SendDataOracle want = send_data_oracle(router, net, src, bits);
   const std::size_t evals_before = router.q_evaluations();
   const int got = router.choose_target(net, src, bits, rng);
@@ -266,6 +267,7 @@ void expect_matches_oracle(QlecRouter& router, const Network& net, int src,
       << "src " << src << ": V " << router.v(src) << " vs " << want.v_src;
   EXPECT_EQ(router.q_evaluations() - evals_before, want.q_evals)
       << "src " << src;
+  return got;
 }
 
 // Head counts straddle choose_target's SIMD threshold (8 head actions).
@@ -312,6 +314,48 @@ TEST(QlecRouterOracle, ChooseTargetMatchesPerActionQValueArgmax) {
         const int src = 2 + call % (n - 2);
         expect_matches_oracle(router, net, src, kBits[call % 4], rng);
       }
+    }
+  }
+}
+
+// Many calls inside one round, with the state a round changes between
+// calls: link outcomes on the chosen links, residual energy drained from
+// random heads, and head senders, whose V is a head action's v for every
+// other sender. choose_target caches only what begin_round fixes, so every
+// call must still match the oracle on the live state.
+TEST(QlecRouterOracle, WithinRoundCallsSeeLiveLinkEnergyAndValueState) {
+  constexpr double kBits[] = {4000.0, 2000.0, 4000.0, 6500.0};
+  for (const int k : {8, 20, 33}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    Rng rng(300 + static_cast<std::uint64_t>(k));
+    const int n = 80;
+    std::vector<Vec3> pts;
+    std::vector<double> energy;
+    for (int i = 0; i < n; ++i) {
+      pts.push_back({rng.uniform(0, 200), rng.uniform(0, 200),
+                     rng.uniform(0, 200)});
+      energy.push_back(rng.uniform(1.0, 5.0));
+    }
+    Network net(pts, energy, {100, 100, 200}, Aabb::cube(200.0));
+    std::vector<int> heads;
+    for (int h = 0; h < k; ++h) heads.push_back(h);
+    const auto any_head = [&] {
+      return heads[rng.uniform_int(static_cast<std::uint64_t>(k))];
+    };
+
+    QlecRouter router(base_params(), RadioModel{}, net.size());
+    router.begin_round(heads);
+    for (const int h : heads) router.update_head_value(net, h, 4000.0);
+    for (int call = 0; call < 240; ++call) {
+      const int src =
+          call % 4 == 3
+              ? any_head()
+              : k + static_cast<int>(rng.uniform_int(
+                        static_cast<std::uint64_t>(n - k)));
+      const int target =
+          expect_matches_oracle(router, net, src, kBits[call % 4], rng);
+      router.record_outcome(src, target, rng.bernoulli(0.4));
+      net.node(any_head()).battery.consume(rng.uniform(0.0, 0.05));
     }
   }
 }

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "net/packet.hpp"
 
 namespace qlec {
 namespace {
@@ -130,6 +137,41 @@ TEST(LinkEstimator, WindowClampedToSupportedRange) {
   // Only the most recent 64 (all failures) should remain.
   EXPECT_NEAR(est.estimate(0, 1), 0.0, 1e-6);
   EXPECT_LE(est.observations(0, 1), 64u);
+}
+
+// fill_estimates must write what estimate() returns for each target, bit
+// for bit, whatever the target list looks like and wherever `from`'s
+// history is stored.
+TEST(LinkEstimator, FillEstimatesMatchesPerTargetEstimate) {
+  LinkEstimator est(4, 1.0, 2.0);
+  Rng rng(11);
+  // Source 3: a full window into 5 that has evicted 7 outcomes, a partial
+  // one into the BS, and one failure into 7.
+  for (int i = 0; i < 11; ++i) est.record(3, 5, rng.bernoulli(0.5));
+  est.record(3, kBaseStationId, true);
+  est.record(3, kBaseStationId, false);
+  est.record(3, 7, false);
+  // Source 2 exists with no history; negative sources use the side map.
+  est.record(-4, 5, true);
+  est.record(-4, kBaseStationId, false);
+  ASSERT_EQ(est.observations(3, 5), 4u);
+
+  // Unobserved targets (9, 12, 0), duplicates (5, 7, BS) and the BS.
+  const std::vector<int> targets{9, 5, kBaseStationId, 5, 7,
+                                 12, 7, kBaseStationId, 0};
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  for (const int from : {3, 2, -4, 1000}) {
+    SCOPED_TRACE("from = " + std::to_string(from));
+    std::vector<double> got(targets.size(),
+                            std::numeric_limits<double>::quiet_NaN());
+    est.fill_estimates(from, targets.data(), targets.size(), got.data());
+    for (std::size_t i = 0; i < targets.size(); ++i)
+      EXPECT_EQ(bits(got[i]), bits(est.estimate(from, targets[i])))
+          << "target " << targets[i];
+  }
+  double untouched = -1.0;
+  est.fill_estimates(3, targets.data(), 0, &untouched);  // n == 0
+  EXPECT_EQ(untouched, -1.0);
 }
 
 }  // namespace

@@ -110,8 +110,9 @@ TEST(FcmProtocol, UplinkChainsDescendTowardBs) {
     int hops = 0;
     while (current != kBaseStationId && hops < 20) {
       const int next = proto.uplink_target(net, current, rng);
-      if (next != kBaseStationId)
+      if (next != kBaseStationId) {
         EXPECT_LT(net.dist_to_bs(next), net.dist_to_bs(current) + 1e-9);
+      }
       current = next;
       ++hops;
     }
@@ -189,9 +190,11 @@ TEST(QLeachProtocol, EveryPopulatedSectorGetsAHead) {
     ++nodes_per_sector[s];
     if (n.is_head) ++heads_per_sector[s];
   }
-  for (std::size_t s = 0; s < grid.count(); ++s)
-    if (nodes_per_sector[s] > 0)
+  for (std::size_t s = 0; s < grid.count(); ++s) {
+    if (nodes_per_sector[s] > 0) {
       EXPECT_GE(heads_per_sector[s], 1) << "sector " << s;
+    }
+  }
   EXPECT_GT(ledger.by_use(EnergyUse::kControl), 0.0);
 }
 

@@ -123,8 +123,9 @@ TEST(Simulator, DeathBookkeepingOrdersFndHndLnd) {
   const SimResult r = run_simulation(net, proto, cfg, sim_rng);
   ASSERT_GE(r.first_death_round, 0);
   ASSERT_GE(r.half_death_round, r.first_death_round);
-  if (r.last_death_round >= 0)
+  if (r.last_death_round >= 0) {
     EXPECT_GE(r.last_death_round, r.half_death_round);
+  }
 }
 
 TEST(Simulator, StopAtFirstDeathHaltsEarly) {
@@ -184,7 +185,9 @@ TEST(Simulator, LatencyOnlyCountsDeliveredPackets) {
   Rng sim_rng(24);
   const SimResult r = run_simulation(net, proto, fast_config(), sim_rng);
   EXPECT_EQ(r.latency.count(), r.delivered);
-  if (r.delivered > 0) EXPECT_GE(r.latency.min(), 0.0);
+  if (r.delivered > 0) {
+    EXPECT_GE(r.latency.min(), 0.0);
+  }
 }
 
 TEST(Simulator, DeadNodesStopGeneratingTraffic) {
