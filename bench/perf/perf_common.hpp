@@ -113,6 +113,9 @@ inline void write_case(JsonWriter& j, const CaseResult& c) {
   j.key("wall_p90_s"); j.value(c.timing.p90());
   j.key("wall_min_s"); j.value(c.timing.min());
   j.key("repeats"); j.value(c.timing.samples.size());
+  // The median and p90 of one sample are that sample: flag it so a reader
+  // does not take a single run's noise for a distribution.
+  j.key("single_sample"); j.value(c.timing.samples.size() == 1);
   j.key("peak_rss_bytes");
   j.value(static_cast<unsigned long long>(c.peak_rss));
   j.key("rounds_per_sec"); j.value(c.rounds_per_sec());

@@ -16,10 +16,12 @@
 namespace {
 
 /// The repeats policy, stated once and logged per case so a truncated
-/// sample count is never silent: SCALE-tier cases (N >= 100k) time a
-/// single repetition and skip the untimed warmup — one repetition is
-/// already minutes of work at N = 1M — and mid-size cases drop from 5 to
-/// 3. QLEC_PERF_REPEATS overrides the count (warmup stays per policy).
+/// sample count is never silent: every N <= 100k reports the median of 5
+/// timed repetitions after an untimed warmup, since a single sample there
+/// swings by up to ~2x on a shared host. Only N = 1M times one repetition
+/// and skips the warmup (one repetition is ~20 s of work); its case is
+/// marked "single_sample" in the JSON. QLEC_PERF_REPEATS overrides the
+/// count (warmup stays per policy).
 struct RepeatsPolicy {
   std::size_t repeats;
   bool warmup;
@@ -27,8 +29,7 @@ struct RepeatsPolicy {
 
 RepeatsPolicy repeats_policy(std::size_t n, bool fast) {
   if (fast) return {2, true};
-  if (n >= 100000) return {1, false};
-  if (n >= 5000) return {3, true};
+  if (n > 100000) return {1, false};
   return {5, true};
 }
 
@@ -46,8 +47,8 @@ int main() {
 
   std::printf("=== perf_scaling: QLEC rounds/sec vs N (density fixed) ===\n");
   std::printf("R=5, lambda=4, 1 seed; median over timed repetitions\n");
-  std::printf("repeats policy: 5 (N<5000), 3 (N>=5000), 1+no-warmup "
-              "(N>=100000); fast mode: 2\n");
+  std::printf("repeats policy: 5 (N<=100000), 1+no-warmup (N>100000); "
+              "fast mode: 2\n");
   if (shards > 0)
     std::printf("sharded round core: sim.exec.shards=%d\n", shards);
   std::printf("\n");

@@ -1,19 +1,13 @@
 #include "net/network_io.hpp"
 
-#include <cstdio>
 #include <sstream>
 #include <vector>
 
 #include "util/csv.hpp"
+#include "util/number_format.hpp"
 
 namespace qlec {
 namespace {
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 bool parse_num(const std::string& s, double& out) {
   try {
@@ -31,18 +25,17 @@ std::string network_to_csv(const Network& net) {
   std::ostringstream out;
   CsvWriter w(out);
   w.write_row(CsvRow{"kind", "x", "y", "z", "initial_j", "residual_j"});
-  w.write_row(CsvRow{"domain", num(net.domain().lo.x),
-                     num(net.domain().lo.y), num(net.domain().lo.z), "0",
-                     "0"});
-  w.write_row(CsvRow{"domain", num(net.domain().hi.x),
-                     num(net.domain().hi.y), num(net.domain().hi.z), "0",
-                     "0"});
-  w.write_row(CsvRow{"bs", num(net.bs().x), num(net.bs().y),
-                     num(net.bs().z), "0", "0"});
+  const auto point_row = [&](const char* kind, const Vec3& p) {
+    w.write_row(CsvRow{kind, format_g17(p.x), format_g17(p.y),
+                       format_g17(p.z), "0", "0"});
+  };
+  point_row("domain", net.domain().lo);
+  point_row("domain", net.domain().hi);
+  point_row("bs", net.bs());
   for (const SensorNode& n : net.nodes()) {
-    w.write_row(CsvRow{"node", num(n.pos.x), num(n.pos.y), num(n.pos.z),
-                       num(n.battery.initial()),
-                       num(n.battery.residual())});
+    w.write_row(CsvRow{"node", format_g17(n.pos.x), format_g17(n.pos.y),
+                       format_g17(n.pos.z), format_g17(n.battery.initial()),
+                       format_g17(n.battery.residual())});
   }
   return out.str();
 }

@@ -1,5 +1,7 @@
 #include "serve/service.hpp"
 
+#include <charconv>
+#include <system_error>
 #include <thread>
 
 #include "config/runner.hpp"
@@ -158,8 +160,17 @@ void JobService::post_runs(const HttpRequest& req, HttpResponse& resp) {
                            std::to_string(opts_.max_cells));
 
   int priority = 0;
-  if (const auto it = req.query.find("priority"); it != req.query.end())
-    priority = std::atoi(it->second.c_str());
+  if (const auto it = req.query.find("priority"); it != req.query.end()) {
+    // Strict: the whole value is one base-10 int, in range.
+    const std::string& text = it->second;
+    const char* const end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, priority);
+    if (ec != std::errc() || ptr != end)
+      return reply_error(resp, 400,
+                         "priority: expected an integer in int range, got \"" +
+                             text + "\"",
+                         "priority");
+  }
   const bool wait = [&] {
     const auto it = req.query.find("wait");
     return it != req.query.end() && it->second != "0";

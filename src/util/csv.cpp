@@ -1,8 +1,9 @@
 #include "util/csv.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "util/number_format.hpp"
 
 namespace qlec {
 
@@ -111,11 +112,7 @@ void CsvWriter::write_row(const CsvRow& row) {
 void CsvWriter::write_row(const std::vector<double>& row) {
   CsvRow cells;
   cells.reserve(row.size());
-  for (const double v : row) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    cells.emplace_back(buf);
-  }
+  for (const double v : row) cells.push_back(format_g17(v));
   write_row(cells);
 }
 

@@ -1,73 +1,121 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+
+#include "util/number_format.hpp"
 
 namespace qlec {
 
+namespace {
+
+/// Appends `s` escaped per RFC 8259. Clean runs (no quote, backslash or
+/// control byte) are copied in one append; bytes >= 0x80 pass through.
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending clean run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default: {
+        const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(u, sizeof u);
+      }
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
+void append_quoted(std::string& out, std::string_view s) {
+  out.push_back('"');
+  append_escaped(out, s);
+  out.push_back('"');
+}
+
+/// JSON has no Inf/NaN, so those become null.
+void append_number(std::string& out, double v) {
+  if (std::isfinite(v))
+    append_g17(out, v);
+  else
+    out += "null";
+}
+
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+}  // namespace
+
 void JsonWriter::comma_if_needed() {
-  if (needs_comma_.empty()) return;
-  if (needs_comma_.back()) out_.push_back(',');
-  needs_comma_.back() = true;
+  if (need_comma_) out_.push_back(',');
+  need_comma_ = depth_ > 0;
 }
 
 void JsonWriter::begin_object() {
   comma_if_needed();
   out_.push_back('{');
-  needs_comma_.push_back(false);
+  ++depth_;
+  need_comma_ = false;
 }
 
 void JsonWriter::end_object() {
   out_.push_back('}');
-  if (!needs_comma_.empty()) needs_comma_.pop_back();
+  if (depth_ > 0) --depth_;
+  need_comma_ = depth_ > 0;
 }
 
 void JsonWriter::begin_array() {
   comma_if_needed();
   out_.push_back('[');
-  needs_comma_.push_back(false);
+  ++depth_;
+  need_comma_ = false;
 }
 
 void JsonWriter::end_array() {
   out_.push_back(']');
-  if (!needs_comma_.empty()) needs_comma_.pop_back();
+  if (depth_ > 0) --depth_;
+  need_comma_ = depth_ > 0;
 }
 
-void JsonWriter::key(const std::string& name) {
+void JsonWriter::key(std::string_view name) {
   comma_if_needed();
-  out_ += '"' + escape(name) + "\":";
-  // The upcoming value must not emit a comma.
-  if (!needs_comma_.empty()) needs_comma_.back() = false;
+  append_quoted(out_, name);
+  out_.push_back(':');
+  need_comma_ = false;  // the upcoming value must not emit a comma
 }
 
-void JsonWriter::value(const std::string& v) {
+void JsonWriter::value(std::string_view v) {
   comma_if_needed();
-  out_ += '"' + escape(v) + '"';
+  append_quoted(out_, v);
 }
-
-void JsonWriter::value(const char* v) { value(std::string(v)); }
 
 void JsonWriter::value(double v) {
   comma_if_needed();
-  if (!std::isfinite(v)) {
-    out_ += "null";  // JSON has no Inf/NaN
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out_ += buf;
+  append_number(out_, v);
 }
 
 void JsonWriter::value(long long v) {
   comma_if_needed();
-  out_ += std::to_string(v);
+  append_int(out_, v);
 }
 
 void JsonWriter::value(unsigned long long v) {
   comma_if_needed();
-  out_ += std::to_string(v);
+  append_int(out_, v);
 }
 
 void JsonWriter::value(bool v) {
@@ -88,26 +136,7 @@ void JsonWriter::raw_value(const std::string& json) {
 std::string JsonWriter::escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  append_escaped(out, s);
   return out;
 }
 
@@ -463,16 +492,6 @@ std::optional<JsonValue> parse_json(const std::string& text,
 
 namespace {
 
-void dump_number(std::string& out, double d) {
-  if (!std::isfinite(d)) {
-    out += "null";  // JSON has no Inf/NaN (mirrors JsonWriter::value(double))
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  out += buf;
-}
-
 void dump_value(std::string& out, const JsonValue& v, int indent, int depth) {
   const auto newline = [&](int d) {
     if (indent <= 0) return;
@@ -482,9 +501,9 @@ void dump_value(std::string& out, const JsonValue& v, int indent, int depth) {
   switch (v.kind()) {
     case JsonValue::Kind::kNull: out += "null"; break;
     case JsonValue::Kind::kBool: out += v.as_bool() ? "true" : "false"; break;
-    case JsonValue::Kind::kNumber: dump_number(out, v.as_double()); break;
+    case JsonValue::Kind::kNumber: append_number(out, v.as_double()); break;
     case JsonValue::Kind::kString:
-      out += '"' + JsonWriter::escape(v.as_string()) + '"';
+      append_quoted(out, v.as_string());
       break;
     case JsonValue::Kind::kArray: {
       if (v.items().empty()) {
@@ -514,7 +533,8 @@ void dump_value(std::string& out, const JsonValue& v, int indent, int depth) {
         if (!first) out.push_back(',');
         first = false;
         newline(depth + 1);
-        out += '"' + JsonWriter::escape(key) + "\":";
+        append_quoted(out, key);
+        out.push_back(':');
         if (indent > 0) out.push_back(' ');
         dump_value(out, member, indent, depth + 1);
       }

@@ -1,15 +1,17 @@
 // Minimal JSON writer + recursive-descent parser: enough to export result
 // records for downstream tooling and to round-trip them in tests, without
 // external dependencies. The writer produces compact, valid JSON with
-// correct string escaping and round-trippable doubles; the parser accepts
-// exactly RFC 8259 JSON (it exists to validate and inspect documents this
-// repo itself emits — telemetry JSONL, Chrome traces, BENCH files).
+// correct string escaping and round-trippable doubles (append_g17, see
+// util/number_format.hpp); the parser accepts exactly RFC 8259 JSON (it
+// exists to validate and inspect documents this repo itself emits —
+// telemetry JSONL, Chrome traces, BENCH files).
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -23,7 +25,9 @@ namespace qlec {
 ///   j.end_object();
 ///   std::string out = j.str();
 /// Misuse (e.g. value without key inside an object) is the caller's
-/// responsibility; the writer only manages commas and escaping.
+/// responsibility; the writer only manages commas and escaping. Every call
+/// appends straight into one buffer: keys and strings are escaped in place
+/// and doubles go through append_g17, so a literal key allocates nothing.
 class JsonWriter {
  public:
   void begin_object();
@@ -31,9 +35,11 @@ class JsonWriter {
   void begin_array();
   void end_array();
   /// Writes `"name":` inside an object (with any needed comma).
-  void key(const std::string& name);
-  void value(const std::string& v);
-  void value(const char* v);
+  void key(std::string_view name);
+  void value(std::string_view v);
+  /// Keeps a string literal off the pointer-to-bool conversion.
+  void value(const char* v) { value(std::string_view(v)); }
+  /// %.17g-equivalent (append_g17); non-finite values become null.
   void value(double v);
   void value(long long v);
   void value(unsigned long long v);
@@ -55,11 +61,13 @@ class JsonWriter {
   void comma_if_needed();
 
   std::string out_;
-  std::vector<bool> needs_comma_;  // one per open container
+  std::size_t depth_ = 0;    // open containers
+  bool need_comma_ = false;  // the next value or key follows a sibling
 };
 
 /// A parsed JSON document node. Numbers are stored as double (the writer
-/// emits %.17g, so integral values up to 2^53 round-trip exactly); object
+/// emits them through append_g17, the %.17g-equivalent formatter, so every
+/// double round-trips exactly, integral values up to 2^53 included); object
 /// member order is preserved as written.
 class JsonValue {
  public:
@@ -118,9 +126,10 @@ std::optional<JsonValue> parse_json(const std::string& text,
                                     std::string* error = nullptr);
 
 /// Serializes a JsonValue tree back to compact JSON text — the inverse of
-/// parse_json (member order preserved; doubles via the writer's %.17g, so
-/// parse_json(dump_json(v)) reproduces `v` exactly). `indent` > 0 switches
-/// to a pretty-printed form with that many spaces per nesting level.
+/// parse_json (member order preserved; doubles via append_g17, the same
+/// %.17g-equivalent formatter as the writer, so parse_json(dump_json(v))
+/// reproduces `v` exactly). `indent` > 0 switches to a pretty-printed form
+/// with that many spaces per nesting level.
 std::string dump_json(const JsonValue& v, int indent = 0);
 
 /// Appends `v` as the next value of `w` (inside whatever container is

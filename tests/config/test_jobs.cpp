@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -434,6 +437,65 @@ TEST(GoldenReplay, CachedReplayServesCommittedDigests) {
   }
   EXPECT_EQ(replay.stats().simulated, 0u);
   EXPECT_EQ(replay.stats().cache_hits, cells.size());
+}
+
+// ---- The bytes that address the cache ----
+//
+// A job key is FNV-1a over kCodeVersion and the config echo, and a disk
+// record is the cell body as manifest_to_json writes it. Any drift in how
+// numbers or strings are formatted would silently give every cell a new
+// key and orphan every on-disk ResultStore record. These literals were
+// computed before the writer moved from snprintf to the shared to_chars
+// formatter; they change only with a deliberate format or version change.
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::vector<SweepCell> scenario_cells(const char* file) {
+  const auto text =
+      read_text_file(std::string(QLEC_SCENARIO_DIR) + "/" + file);
+  if (!text) throw std::runtime_error(std::string("missing ") + file);
+  return expand_grid(parse_scenario(*text));
+}
+
+TEST(CacheAddressPin, JobKeysOfCommittedScenarios) {
+  std::string qlec_key;
+  for (const SweepCell& cell : scenario_cells("golden_replay.json"))
+    if (cell.config.protocol.name == "qlec") qlec_key = job_key(cell.config);
+  EXPECT_EQ(qlec_key, "11b0879886f7804b");
+
+  const std::vector<SweepCell> paper = scenario_cells("paper_51.json");
+  ASSERT_EQ(paper.size(), 1u);
+  EXPECT_EQ(job_key(paper[0].config), "4e90a1f490d1fa80");
+}
+
+TEST(CacheAddressPin, ManifestBytesOfATwoCellRun) {
+  const std::vector<SweepCell> cells = expand_grid(parse_scenario(R"({
+    "name": "pin",
+    "description": "two cells, N=40",
+    "scenario": {"n": 40},
+    "sim": {"rounds": 5, "slots_per_round": 10, "trace": {"record": true}},
+    "protocol": {"qlec": {"total_rounds": 5}},
+    "seeds": 2,
+    "base_seed": 42,
+    "sweep": {"protocol.name": ["leach", "qlec"]}
+  })"));
+  ASSERT_EQ(cells.size(), 2u);
+  RunManifest m = run_grid(cells);
+  m.name = "pin";
+  m.description = "two cells, N=40";
+  const std::string json = manifest_to_json(m);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(fnv1a64(json)));
+  EXPECT_EQ(json.size(), 7757u);
+  EXPECT_EQ(std::string(hex), "a1f9aee40b04a33a");
 }
 
 }  // namespace

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "geom/sampling.hpp"
 #include "util/rng.hpp"
 
@@ -39,6 +47,48 @@ TEST(NetworkIo, DeadNodeStaysDead) {
   const auto restored = network_from_csv(network_to_csv(sample_network()));
   ASSERT_TRUE(restored.has_value());
   EXPECT_FALSE(restored->node(7).battery.alive(0.0));
+}
+
+TEST(NetworkIo, NumbersMatchPrintfG17) {
+  // Every coordinate and energy goes through the shared %.17g-equivalent
+  // formatter; hold the whole document to snprintf("%.17g") over > 1 M
+  // random finite bit patterns.
+  std::mt19937_64 rng(11);
+  const auto draw = [&rng] {
+    for (;;) {
+      const std::uint64_t bits = rng();
+      double d;
+      std::memcpy(&d, &bits, sizeof d);
+      if (std::isfinite(d)) return d;
+    }
+  };
+  const auto g17 = [](double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return std::string(buf);
+  };
+  std::vector<Vec3> pos;
+  std::vector<double> energy;
+  for (int i = 0; i < 210000; ++i) {
+    pos.push_back({draw(), draw(), draw()});
+    energy.push_back(std::fabs(draw()));
+  }
+  const Network net(pos, energy, {draw(), draw(), draw()},
+                    Aabb{{draw(), draw(), draw()}, {draw(), draw(), draw()}});
+  const auto point = [&](const char* kind, const Vec3& p) {
+    return std::string(kind) + "," + g17(p.x) + "," + g17(p.y) + "," +
+           g17(p.z) + ",0,0\n";
+  };
+  std::string expected = "kind,x,y,z,initial_j,residual_j\n" +
+                         point("domain", net.domain().lo) +
+                         point("domain", net.domain().hi) +
+                         point("bs", net.bs());
+  for (const SensorNode& n : net.nodes()) {
+    expected += "node," + g17(n.pos.x) + "," + g17(n.pos.y) + "," +
+                g17(n.pos.z) + "," + g17(n.battery.initial()) + "," +
+                g17(n.battery.residual()) + "\n";
+  }
+  EXPECT_TRUE(network_to_csv(net) == expected);
 }
 
 TEST(NetworkIo, EmptyNetworkRoundTrips) {

@@ -118,6 +118,19 @@ TEST_F(ServeTest, InvalidScenarioIsA400WithPath) {
   EXPECT_EQ(bad_json.status, 400);
 }
 
+TEST_F(ServeTest, PriorityMustBeAStrictInt) {
+  for (const char* bad : {"abc", "1x", "99999999999", ""}) {
+    const ClientResponse r = roundtrip(
+        "POST", std::string("/v1/runs?priority=") + bad, kTinyScenario);
+    EXPECT_EQ(r.status, 400) << bad;
+    EXPECT_NE(r.body.find("\"path\":\"priority\""), std::string::npos)
+        << r.body;
+  }
+  const ClientResponse ok =
+      roundtrip("POST", "/v1/runs?priority=-3&wait=1", kTinyScenario);
+  EXPECT_EQ(ok.status, 200) << ok.body;
+}
+
 TEST_F(ServeTest, OversizedGridIsRejected) {
   const ClientResponse r = roundtrip("POST", "/v1/runs", R"({
     "scenario": {"n": 16},

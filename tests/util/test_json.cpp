@@ -2,6 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "util/csv.hpp"
+#include "util/number_format.hpp"
+
 namespace qlec {
 namespace {
 
@@ -219,6 +234,178 @@ TEST(JsonDump, WriteValueSplicesIntoStream) {
 TEST(JsonDump, LargeIntegersStayIntegral) {
   const auto doc = parse_json("[9007199254740992,-42,0]");
   EXPECT_EQ(dump_json(*doc), "[9007199254740992,-42,0]");
+}
+
+// ---- The %.17g formatter and the in-place escaper against their oracles ----
+
+std::string g17_oracle(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// The escaper JsonWriter used before it escaped in place; the oracle for
+/// key(), value(string), escape() and dump_json's strings.
+std::string escape_oracle(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
+/// The listed edges: signed zeros, the subnormal and normal extremes, the
+/// 2^53 neighbourhood, the 1e17 boundary where integers leave the fixed
+/// style, and the %g style switch at exponents -5/-4 and 16/17.
+std::vector<double> g17_edges() {
+  const double two53 = 9007199254740992.0;
+  std::vector<double> v = {
+      0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MIN, -DBL_MIN,
+      DBL_MAX, -DBL_MAX, two53 - 1, two53, two53 + 1, two53 + 2, -two53 - 1,
+      1e16, 1e17, -1e17, std::nextafter(1e17, 0.0),
+      std::nextafter(1e17, 1e18), std::nextafter(-1e17, 0.0), 1e15 + 0.5,
+      0.1, 0.2, 0.1 + 0.2, 1.0 / 3.0, 0.5, 1.0, -1.0, 2.0, 10.0, 1e-4,
+      1e-5, 9.9999999999999995e-5, 123456789012345678.0, 1e21, 1e22, 1e100,
+      1e-300, 5e-324, 4.9406564584124654e-324, 2.2250738585072009e-308,
+      1.7976931348623157e308, 42.0, -7.0, 100.0, 1e6, 3.14159265358979};
+  for (int e = -30; e <= 30; ++e) v.push_back(std::pow(10.0, e));
+  return v;
+}
+
+/// >= 1 M doubles: every finite random bit pattern of 1 << 20 draws, random
+/// integers across the |v| < 1e17 fixed/exponent boundary, and the edges.
+std::vector<double> g17_corpus() {
+  std::mt19937_64 rng(20191007);
+  std::vector<double> v = g17_edges();
+  while (v.size() < (1u << 20)) {
+    const std::uint64_t bits = rng();
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) v.push_back(d);
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const auto shift = static_cast<int>(rng() % 62);
+    const auto mag = static_cast<std::int64_t>(rng() >> (shift + 2));
+    v.push_back(static_cast<double>((rng() & 1) != 0 ? -mag : mag));
+  }
+  return v;
+}
+
+TEST(NumberFormat, MatchesSnprintfG17OnTheOracleCorpus) {
+  std::size_t mismatches = 0;
+  for (const double d : g17_corpus()) {
+    if (format_g17(d) != g17_oracle(d) && ++mismatches <= 5)
+      ADD_FAILURE() << "format_g17 differs from %.17g for " << g17_oracle(d);
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(NumberFormat, NonFiniteMatchesPrintfSpelling) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double d : {inf, -inf, nan, -nan})
+    EXPECT_EQ(format_g17(d), g17_oracle(d));
+}
+
+TEST(NumberFormat, EveryWriterEmitsTheOracleBytes) {
+  // JsonWriter::value(double), dump_json and CsvWriter all format through
+  // util/number_format.hpp; each must reproduce %.17g over the whole corpus.
+  const std::vector<double> corpus = g17_corpus();
+  constexpr std::size_t kChunk = 4096;
+  for (std::size_t at = 0; at < corpus.size(); at += kChunk) {
+    const std::size_t end = std::min(corpus.size(), at + kChunk);
+    const std::vector<double> chunk(corpus.begin() + at, corpus.begin() + end);
+    std::string csv_row;
+    for (const double d : chunk) csv_row += g17_oracle(d) + ",";
+    csv_row.back() = '\n';
+    std::string json = "[";
+    json.append(csv_row, 0, csv_row.size() - 1);
+    json += ']';
+
+    JsonWriter w;
+    w.begin_array();
+    std::vector<JsonValue> items;
+    for (const double d : chunk) {
+      w.value(d);
+      items.push_back(JsonValue::make_number(d));
+    }
+    w.end_array();
+    ASSERT_EQ(w.str(), json) << "JsonWriter, chunk at " << at;
+    ASSERT_EQ(dump_json(JsonValue::make_array(std::move(items))), json)
+        << "dump_json, chunk at " << at;
+
+    std::ostringstream out;
+    CsvWriter(out).write_row(chunk);
+    ASSERT_EQ(out.str(), csv_row)
+        << "CsvWriter, chunk at " << at;
+  }
+}
+
+TEST(JsonEscape, EverySingleByteMatchesTheOldEscaper) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string s(1, static_cast<char>(b));
+    const std::string esc = escape_oracle(s);
+    EXPECT_EQ(JsonWriter::escape(s), esc) << "byte " << b;
+    JsonWriter w;
+    w.begin_object();
+    w.key(s);
+    w.value(s);
+    w.end_object();
+    EXPECT_EQ(w.str(), "{\"" + esc + "\":\"" + esc + "\"}") << "byte " << b;
+    EXPECT_EQ(dump_json(JsonValue::make_string(s)), '"' + esc + '"')
+        << "byte " << b;
+  }
+}
+
+TEST(JsonEscape, MixedStringsMatchTheOldEscaper) {
+  std::vector<std::string> cases = {
+      "", "plain", "\"", "a\"b\\c", "tab\tnew\nline\r\n", "\x01\x1f\x7f",
+      "caf\xc3\xa9 \xf0\x9f\x98\x80", std::string("nul\0mid", 7),
+      "trailing\\", "\bback\fform", "long clean run then \"quote\" end"};
+  // Random strings over a byte alphabet weighted toward the escaped set.
+  const std::string alphabet = std::string("\"\\\n\r\t\b\f\x01\x1f\x7f\x80\xff", 12) +
+                               "abcxyz019 ,:{}[]";
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    std::string s(rng() % 48, ' ');
+    for (char& c : s) {
+      c = (rng() % 4 == 0) ? static_cast<char>(rng() % 256)
+                           : alphabet[rng() % alphabet.size()];
+    }
+    cases.push_back(std::move(s));
+  }
+  for (const std::string& s : cases) {
+    const std::string esc = escape_oracle(s);
+    ASSERT_EQ(JsonWriter::escape(s), esc);
+    JsonWriter w;
+    w.begin_array();
+    w.value(s);
+    w.begin_object();
+    w.key(s);
+    w.value(s.c_str());
+    w.end_object();
+    w.end_array();
+    const std::string c_str_esc = escape_oracle(std::string(s.c_str()));
+    ASSERT_EQ(w.str(), "[\"" + esc + "\",{\"" + esc + "\":\"" + c_str_esc + "\"}]");
+    ASSERT_EQ(dump_json(JsonValue::make_string(s)), '"' + esc + '"');
+  }
 }
 
 }  // namespace
