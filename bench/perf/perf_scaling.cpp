@@ -4,9 +4,7 @@
 // QLEC_PERF_BASELINE points at a previously emitted file, it is embedded
 // verbatim under "baseline" and per-N speedups are reported, which is how
 // the committed pre-/post-optimization comparison is produced (see
-// EXPERIMENTS.md). QLEC_PERF_SHARDS=<n> runs every case on the sharded
-// round core (sim.exec.shards = n) — output is bit-identical under the
-// shard-invariance contract, so the throughput columns stay comparable.
+// EXPERIMENTS.md).
 #include <cmath>
 #include <cstdio>
 
@@ -43,14 +41,11 @@ int main() {
       fast ? std::vector<std::size_t>{100, 500, 1000}
            : std::vector<std::size_t>{100,   500,    1000,  2000,   5000,
                                       10000, 20000, 100000, 1000000};
-  const int shards = env::perf_shards();
 
   std::printf("=== perf_scaling: QLEC rounds/sec vs N (density fixed) ===\n");
   std::printf("R=5, lambda=4, 1 seed; median over timed repetitions\n");
   std::printf("repeats policy: 5 (N<=100000), 1+no-warmup (N>100000); "
               "fast mode: 2\n");
-  if (shards > 0)
-    std::printf("sharded round core: sim.exec.shards=%d\n", shards);
   std::printf("\n");
 
   std::vector<perf::CaseResult> cases;
@@ -66,7 +61,6 @@ int main() {
     cfg.sim.death_line = -1.0;  // throughput run: nobody dies
     cfg.seeds = 1;
     cfg.protocol.qlec.total_rounds = cfg.sim.rounds;
-    if (shards > 0) cfg.sim.exec.shards = shards;
 
     const RepeatsPolicy policy = repeats_policy(n, fast);
     const std::size_t repeats = env::perf_repeats(policy.repeats);

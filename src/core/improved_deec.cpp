@@ -18,7 +18,7 @@ double deec_energy_threshold(double initial_energy, int r, int total_rounds) {
 std::vector<int> improved_deec_elect(Network& net,
                                      const ImprovedDeecConfig& cfg, int round,
                                      Rng& rng, double death_line,
-                                     ElectionStats* stats, ExecContext* exec) {
+                                     ElectionStats* stats) {
   ElectionStats local;
   net.reset_heads();
 
@@ -28,20 +28,20 @@ std::vector<int> improved_deec_elect(Network& net,
                                      round, cfg.total_rounds)
           : net.mean_residual_alive(death_line);
 
-  // Pass 1 — RNG-free classification, fanned over shards: per node, the
-  // alive flag, the Eq. 4 / rotation eligibility, and the draw threshold
-  // T(b_i). Pure reads + disjoint per-node writes, so shard-invariant.
+  // Pass 1 — RNG-free classification: per node, the alive flag, the Eq. 4
+  // / rotation eligibility, and the draw threshold T(b_i). Kept apart from
+  // the draw because the top-up pass below reuses `eligible`.
   const std::size_t n_nodes = net.size();
   std::vector<std::uint8_t> alive_flag(n_nodes, 0);
   std::vector<std::uint8_t> eligible(n_nodes, 0);
   std::vector<double> thr(n_nodes, 0.0);
-  const auto classify = [&](std::uint32_t i) {
+  for (std::uint32_t i = 0; i < n_nodes; ++i) {
     const SensorNode& n = net.node(static_cast<int>(i));
-    if (!n.operational(death_line)) return;
+    if (!n.operational(death_line)) continue;
     alive_flag[i] = 1;
     const double p_i =
         deec_probability(cfg.p_opt, n.battery.residual(), avg);
-    if (!deec_eligible(n.last_head_round, round, p_i)) return;
+    if (!deec_eligible(n.last_head_round, round, p_i)) continue;
     // Eq. 4 restriction: too drained to serve. Qualification is non-strict
     // (residual >= threshold): at round 0 the threshold equals the full
     // initial energy, and a paper-literal strict test would disqualify
@@ -50,16 +50,9 @@ std::vector<int> improved_deec_elect(Network& net,
         n.battery.residual() < deec_energy_threshold(n.battery.initial(),
                                                      round,
                                                      cfg.total_rounds))
-      return;
+      continue;
     eligible[i] = 1;
     thr[i] = deec_threshold(p_i, round);
-  };
-  if (exec != nullptr && exec->has_partition()) {
-    exec->for_shards([&](int s) {
-      for (const std::uint32_t id : exec->shard_nodes(s)) classify(id);
-    });
-  } else {
-    for (std::uint32_t i = 0; i < n_nodes; ++i) classify(i);
   }
 
   // Pass 2 — the draw, strictly serial in id order: every rng.uniform01()
@@ -97,37 +90,19 @@ std::vector<int> improved_deec_elect(Network& net,
     const SpatialGrid grid(head_pos, cfg.coverage_radius);
     const std::size_t m = elected.size();
 
-    // Parallel half: collect each head's threat list (richer neighbours
-    // within d_c, in the grid's deterministic walk order). Pure reads.
-    std::vector<std::vector<std::uint32_t>> threats(m);
-    const auto collect = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const double e_i = net.node(elected[i]).battery.residual();
-        for (const std::size_t j :
-             grid.neighbours_of(i, cfg.coverage_radius)) {
-          const double e_j = net.node(elected[j]).battery.residual();
-          if (e_j > e_i || (e_j == e_i && elected[j] < elected[i]))
-            threats[i].push_back(static_cast<std::uint32_t>(j));
-        }
-      }
-    };
-    if (exec != nullptr) {
-      exec->for_blocks(m, collect);
-    } else {
-      collect(0, m);
-    }
-
-    // Serial half: resolve quits in index order. Identical outcome to the
-    // original break-on-first grid walk — neighbours that are not threats
-    // never set removed[i] or break the walk, so skipping them is
-    // invisible, and removed[j] is read at the same point of the i-sweep.
+    // In index order, head i quits on the first richer neighbour (ties by
+    // id) within d_c that has not itself quit, in the grid's walk order.
     std::vector<bool> removed(m, false);
     for (std::size_t i = 0; i < m; ++i) {
-      for (const std::uint32_t j : threats[i]) {
+      const double e_i = net.node(elected[i]).battery.residual();
+      for (const std::size_t j : grid.neighbours_of(i, cfg.coverage_radius)) {
         if (removed[j]) continue;  // a head that quit no longer competes
-        removed[i] = true;
-        ++local.pruned;
-        break;
+        const double e_j = net.node(elected[j]).battery.residual();
+        if (e_j > e_i || (e_j == e_i && elected[j] < elected[i])) {
+          removed[i] = true;
+          ++local.pruned;
+          break;
+        }
       }
     }
     std::vector<int> kept;

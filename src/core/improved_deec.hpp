@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "util/exec.hpp"
 #include "util/rng.hpp"
 
 namespace qlec {
@@ -47,16 +46,9 @@ struct ElectionStats {
 /// is_head / last_head_round on the final head set and returns its ids.
 /// The HELLO control-plane energy is NOT charged here (the protocol layer
 /// charges it so the cost can be attributed to the ledger).
-///
-/// With an ExecContext the RNG-free phases (per-node eligibility/threshold
-/// precompute, Algorithm 3 threat scans) fan out over shards; the
-/// T(b_i)-draw loop and every order-sensitive merge stay serial in id
-/// order, so the elected set — and the Rng stream — is bit-identical at
-/// every shard count including the serial exec = nullptr path.
 std::vector<int> improved_deec_elect(Network& net,
                                      const ImprovedDeecConfig& cfg, int round,
                                      Rng& rng, double death_line,
-                                     ElectionStats* stats = nullptr,
-                                     ExecContext* exec = nullptr);
+                                     ElectionStats* stats = nullptr);
 
 }  // namespace qlec

@@ -42,7 +42,7 @@ void QlecProtocol::on_round_start(Network& net, int round, Rng& rng,
   cfg.reduce_redundancy = params_.reduce_redundancy;
   cfg.top_up_to_k = params_.top_up_to_k;
   heads_ = improved_deec_elect(net, cfg, round, rng, death_line_,
-                               &last_stats_, exec_);
+                               &last_stats_);
 
   // Control plane: each surviving head broadcasts its HELLO across d_c, and
   // every alive node inside the coverage ball spends receive energy on it.
@@ -93,8 +93,7 @@ void QlecProtocol::charge_hello(Network& net, EnergyLedger& ledger) {
   // gated on j being operational *at that moment*. operational() reads only
   // j's own battery, so each node's charge sequence is independent of every
   // other node's — replaying it per node in id order leaves every battery
-  // bit-identical to the head-major walk. The walk is the same at every
-  // shard count, so the ledger buckets are too. Coverage tests every head
+  // bit-identical to the head-major walk. Coverage tests every head
   // directly: k is k_opt-sized, and a scan of the head list costs less
   // than a spatial-grid query per node.
   std::vector<Vec3> head_pos;

@@ -46,7 +46,7 @@ class QlecProtocol final : public ClusteringProtocol {
 
  private:
   /// The HELLO control-plane charge: one receiver-centric walk in node-id
-  /// order at every shard count (see qlec.cpp).
+  /// order (see qlec.cpp).
   void charge_hello(Network& net, EnergyLedger& ledger);
 
   QlecParams params_;

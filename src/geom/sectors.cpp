@@ -23,20 +23,4 @@ std::uint64_t SectorGrid::axis_cell(double v, double lo, double hi,
   return static_cast<std::uint64_t>(std::clamp<long long>(c, 0, n - 1));
 }
 
-Aabb bounding_box(const std::vector<Vec3>& pos) {
-  if (pos.empty()) return Aabb{{0, 0, 0}, {0, 0, 0}};
-  Aabb box{pos[0], pos[0]};
-  for (const Vec3& p : pos) box.expand(p);
-  return box;
-}
-
-std::vector<std::vector<std::uint32_t>> sector_partition(
-    const std::vector<Vec3>& pos, const SectorGrid& grid) {
-  std::vector<std::vector<std::uint32_t>> parts(grid.count());
-  for (std::size_t i = 0; i < pos.size(); ++i)
-    parts[static_cast<std::size_t>(grid.sector_of(pos[i]))].push_back(
-        static_cast<std::uint32_t>(i));
-  return parts;
-}
-
 }  // namespace qlec

@@ -1,23 +1,19 @@
 // Axis-aligned sector partitioning of a deployment volume.
 //
-// Three consumers share this one code path:
+// Two regional protocols share this one code path:
 //   - Q-LEACH (arXiv 1303.5240) statically sectors the volume into
 //     quadrants (2x2x1) and runs a LEACH rotation inside each sector;
 //   - REECH-ME (arXiv 1307.7052) elects the maximum-residual-energy node
-//     of each region as its head;
-//   - the sharded round core (`geom/region_shards`) sweeps a finer
-//     cells^3 grid to cut the node set into spatially-coherent shards.
+//     of each region as its head.
 //
-// A SectorGrid is a pure function of its box and per-axis cell counts —
-// never of thread scheduling — so everything built on it stays
-// deterministic and shard-count invariant. Degenerate axes (zero or
+// A SectorGrid is a pure function of its box and per-axis cell counts, so
+// everything built on it stays deterministic. Degenerate axes (zero or
 // negative extent, NaN bounds) collapse to a single cell on that axis'
 // index computation, and points outside the box clamp to the boundary
 // cells, so callers never need to special-case flat or empty geometry.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "geom/aabb.hpp"
 #include "geom/vec3.hpp"
@@ -77,9 +73,7 @@ class SectorGrid {
  private:
   /// Cell index of `v` on one axis: 0 for a degenerate axis (extent not
   /// > 0, which also catches NaN bounds), otherwise
-  /// `clamp(floor((v - lo) / ext * n), 0, n - 1)`. This is the exact
-  /// arithmetic the pre-refactor region partitioner used, so shard
-  /// assignments are bit-identical across the refactor.
+  /// `clamp(floor((v - lo) / ext * n), 0, n - 1)`.
   static std::uint64_t axis_cell(double v, double lo, double hi,
                                  int n) noexcept;
 
@@ -88,16 +82,5 @@ class SectorGrid {
   int ny_ = 1;
   int nz_ = 1;
 };
-
-/// Tight bounding box of a position cloud. Empty input yields the
-/// degenerate box at the origin.
-Aabb bounding_box(const std::vector<Vec3>& pos);
-
-/// Partitions ids [0, pos.size()) by sector: result[s] holds the ids
-/// whose position falls in sector `s`, ascending (the canonical id order
-/// every deterministic consumer iterates in). Always returns
-/// grid.count() buckets; empty sectors are empty vectors.
-std::vector<std::vector<std::uint32_t>> sector_partition(
-    const std::vector<Vec3>& pos, const SectorGrid& grid);
 
 }  // namespace qlec

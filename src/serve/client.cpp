@@ -44,6 +44,19 @@ bool parse_http_url(const std::string& url, std::string& host,
   return true;
 }
 
+std::optional<int> parse_status_line(std::string_view line) {
+  const auto digit = [](char c) { return c >= '0' && c <= '9'; };
+  // "HTTP/1.x NNN", then the end of the line or " <reason phrase>".
+  if (line.size() < 12 || !line.starts_with("HTTP/1.") || !digit(line[7]) ||
+      line[8] != ' ' || !digit(line[9]) || !digit(line[10]) ||
+      !digit(line[11]) || (line.size() > 12 && line[12] != ' '))
+    return std::nullopt;
+  const int status =
+      (line[9] - '0') * 100 + (line[10] - '0') * 10 + (line[11] - '0');
+  if (status < 100 || status > 599) return std::nullopt;
+  return status;
+}
+
 std::optional<ClientResponse> http_request(
     const std::string& host, std::uint16_t port, const std::string& method,
     const std::string& target, const std::string& body, std::string* error) {
@@ -101,16 +114,14 @@ std::optional<ClientResponse> http_request(
   ::close(fd);
 
   const std::size_t head_end = raw.find("\r\n\r\n");
-  const std::size_t line_end = raw.find("\r\n");
-  if (head_end == std::string::npos || raw.rfind("HTTP/1.", 0) != 0) {
+  const std::optional<int> status =
+      parse_status_line(std::string_view(raw).substr(0, raw.find("\r\n")));
+  if (head_end == std::string::npos || !status) {
     fail(error, "malformed response");
     return std::nullopt;
   }
-  const std::string status_line = raw.substr(0, line_end);
-  const std::size_t sp = status_line.find(' ');
   ClientResponse resp;
-  resp.status =
-      sp == std::string::npos ? 0 : std::atoi(status_line.c_str() + sp + 1);
+  resp.status = *status;
   resp.body = raw.substr(head_end + 4);
   return resp;
 }

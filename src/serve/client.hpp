@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace qlec::serve {
 
@@ -21,9 +22,14 @@ struct ClientResponse {
 bool parse_http_url(const std::string& url, std::string& host,
                     std::uint16_t& port, std::string& path);
 
+/// The status code of an HTTP/1.x status line ("HTTP/1.1 200 OK"): exactly
+/// three digits in [100, 599] after "HTTP/1.<digit> ", then a space or the
+/// end of the line. nullopt for anything else.
+std::optional<int> parse_status_line(std::string_view line);
+
 /// One blocking request. Returns nullopt and sets `error` on transport
-/// failure (connect/send/recv); HTTP-level failures come back as a normal
-/// ClientResponse with its status.
+/// failure (connect/send/recv) or a malformed reply; HTTP-level failures
+/// come back as a normal ClientResponse with its status.
 std::optional<ClientResponse> http_request(
     const std::string& host, std::uint16_t port, const std::string& method,
     const std::string& target, const std::string& body = "",

@@ -9,8 +9,8 @@
 //   - `select_heads` is called exactly once per round, on the main thread,
 //     before any per-node phase. It must fill `heads` with ids of nodes
 //     that are operational above `death_line`; RNG draws happen only here
-//     and in a data-independent order, so the digest/shard-invariance
-//     contract of the round core is preserved. The controller never
+//     and in a data-independent order, so the digest contract of the
+//     round core is preserved. The controller never
 //     mutates the network — the adapting protocol stamps is_head /
 //     last_head_round from the returned set.
 //   - `on_round_end` is called once after the round's uplinks settle, with

@@ -15,7 +15,7 @@
 // Contract (the repo-wide one): disabled ⇒ the Environment is never
 // constructed and every committed golden digest is bit-identical. Enabled,
 // the seam is RNG-free and a pure function of geometry, so traces stay
-// invariant to shard count and ExecPolicy. A zero-obstruction enabled
+// invariant to ExecPolicy. A zero-obstruction enabled
 // world yields link_factor == 1.0 and tx_amp_factor == 1.0 exactly, which
 // keeps its trajectory byte-identical to an env-disabled run (the
 // simulator multiplies probabilities by 1.0 or takes the unscaled branch).

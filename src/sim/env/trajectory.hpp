@@ -3,8 +3,8 @@
 // polyline walked at constant speed, or a circular orbit — advanced by the
 // simulator at the top of every round, on the main thread, before any
 // other phase runs. The layer draws no randomness and touches no per-node
-// state, so RNG streams, shard invariance, and (with kind == none, the
-// default) every committed golden digest are untouched.
+// state, so RNG streams and (with kind == none, the default) every
+// committed golden digest are untouched.
 //
 // Composition with BsPlacement: the scenario's placement keeps its role as
 // the ANCHOR. Waypoint paths start at the placed position and walk toward
@@ -60,8 +60,8 @@ class BsTrajectory {
   bool active() const noexcept { return cfg_.kind != TrajectoryKind::kNone; }
 
   /// BS position at the START of `round` (round 0 is the first simulated
-  /// round). A pure function of `round`: replays, shard counts, and
-  /// ExecPolicy cannot perturb it.
+  /// round). A pure function of `round`: replays and ExecPolicy cannot
+  /// perturb it.
   Vec3 position(int round) const;
 
   const BsTrajectoryConfig& config() const noexcept { return cfg_; }

@@ -13,8 +13,7 @@
 // by (time, end-before-start, insertion sequence) — so a resolve() is a
 // pure function of (config, seed stream position, frame batch). The batch
 // itself is built serially in canonical node order by the simulator, which
-// is what keeps MAC-enabled digests invariant to shard count and
-// ExecPolicy.
+// is what keeps MAC-enabled digests invariant to ExecPolicy.
 #pragma once
 
 #include <cstdint>

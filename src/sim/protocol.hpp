@@ -13,7 +13,8 @@
 
 namespace qlec {
 
-class ExecContext;  // util/exec.hpp
+/// Opaque handle of set_exec(); declared only, never defined.
+class ExecContext;
 
 namespace obs {
 class Telemetry;  // obs/telemetry.hpp
@@ -81,14 +82,10 @@ class ClusteringProtocol {
     (void)packet_bits;
   }
 
-  /// Attaches the intra-round sharding context for the coming run (nullptr
-  /// detaches = fully serial round core). The simulator calls this when
-  /// SimConfig::exec.shards > 1; the pointer is only valid for that run.
-  /// The determinism contract of util/exec.hpp applies: protocols may fan
-  /// RNG-free per-node work over shards but must keep every RNG draw and
-  /// every order-sensitive merge on the calling thread in canonical order,
-  /// so output is bit-identical at every shard count.
-  virtual void set_exec(ExecContext* exec) { exec_ = exec; }
+  /// No-op: the simulator never calls it, and ExecContext has no
+  /// definition (the round core is serial, DESIGN.md §12). It stays
+  /// declared so instrumented wrappers that forward it still build.
+  virtual void set_exec(ExecContext* exec) { (void)exec; }
 
   /// Attaches the telemetry context for the coming run (nullptr detaches).
   /// The simulator calls this around run_simulation when
@@ -104,8 +101,6 @@ class ClusteringProtocol {
  protected:
   /// The attached context, or nullptr (the common, zero-cost case).
   obs::Telemetry* telemetry_ = nullptr;
-  /// The attached sharding context, or nullptr (serial round core).
-  ExecContext* exec_ = nullptr;
 };
 
 }  // namespace qlec

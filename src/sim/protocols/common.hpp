@@ -11,7 +11,6 @@
 #include "energy/radio_model.hpp"
 #include "geom/spatial_grid.hpp"
 #include "net/network.hpp"
-#include "util/exec.hpp"
 #include "util/simd.hpp"
 
 namespace qlec::detail {
@@ -48,35 +47,18 @@ inline std::vector<int> assign_nearest_head_brute(
 /// examined. Small head sets instead take a SIMD scan: one dist_to_point +
 /// argmin over an alive-head SoA per node, whose first-wins strict-< lane
 /// merge reproduces the brute loop's winner and tie-break exactly.
-///
-/// The per-node loop is RNG-free and writes only assignment[node], so when
-/// an ExecContext with a round partition is supplied it fans out over the
-/// spatial shards; output is bit-identical at every shard count.
 inline std::vector<int> assign_nearest_head(const Network& net,
                                             const std::vector<int>& heads,
-                                            double death_line,
-                                            ExecContext* exec = nullptr) {
+                                            double death_line) {
   // Alive heads, preserving `heads` order (the tie-break order).
   std::vector<int> alive;
   alive.reserve(heads.size());
   for (const int h : heads)
     if (net.node(h).operational(death_line)) alive.push_back(h);
 
-  std::vector<int> assignment(net.size(), kBaseStationId);
+  const std::size_t n = net.size();
+  std::vector<int> assignment(n, kBaseStationId);
   if (alive.empty()) return assignment;
-
-  // Runs fn(id) for every node id — sharded when a partition is live. The
-  // shards cover [0, net.size()) disjointly, so this visits each node once.
-  const auto over_nodes = [&](const auto& fn) {
-    if (exec != nullptr && exec->has_partition()) {
-      exec->for_shards([&](int s) {
-        for (const std::uint32_t id : exec->shard_nodes(s)) fn(id);
-      });
-    } else {
-      const std::uint32_t n = static_cast<std::uint32_t>(net.size());
-      for (std::uint32_t id = 0; id < n; ++id) fn(id);
-    }
-  };
 
   constexpr std::size_t kBruteThreshold = 16;
   if (alive.size() < kBruteThreshold) {
@@ -93,13 +75,13 @@ inline std::vector<int> assign_nearest_head(const Network& net,
       zs[c] = p.z;
     }
     const simd::Kernels& kr = simd::kernels();
-    over_nodes([&](std::uint32_t id) {
-      double dbuf[kBruteThreshold];
+    double dbuf[kBruteThreshold];
+    for (std::size_t id = 0; id < n; ++id) {
       const Vec3& p = net.node(static_cast<int>(id)).pos;
       kr.dist_to_point(xs, ys, zs, k, p.x, p.y, p.z, dbuf);
       const std::size_t win = kr.argmin(dbuf, k);
       if (win != simd::npos) assignment[id] = alive[win];
-    });
+    }
     return assignment;
   }
 
@@ -116,10 +98,8 @@ inline std::vector<int> assign_nearest_head(const Network& net,
           : 1.0;
   const SpatialGrid grid(head_pos, cell);
 
-  // Thread-local candidate scratch: over_nodes may run this lambda from
-  // several pool workers at once, but each node id is visited exactly once,
-  // so the assignment writes stay disjoint.
-  const auto assign_one = [&](std::uint32_t id, std::vector<std::size_t>& cands) {
+  std::vector<std::size_t> cands;
+  for (std::size_t id = 0; id < n; ++id) {
     const Vec3& p = net.node(static_cast<int>(id)).pos;
     const std::size_t near = grid.nearest(p);
     // Upper bound on the true minimum, computed with the same distance()
@@ -136,16 +116,6 @@ inline std::vector<int> assign_nearest_head(const Network& net,
         assignment[id] = alive[c];
       }
     }
-  };
-  if (exec != nullptr && exec->has_partition()) {
-    exec->for_shards([&](int s) {
-      std::vector<std::size_t> cands;
-      for (const std::uint32_t id : exec->shard_nodes(s)) assign_one(id, cands);
-    });
-  } else {
-    std::vector<std::size_t> cands;
-    const std::uint32_t n = static_cast<std::uint32_t>(net.size());
-    for (std::uint32_t id = 0; id < n; ++id) assign_one(id, cands);
   }
   return assignment;
 }

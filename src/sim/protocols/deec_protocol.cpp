@@ -16,7 +16,7 @@ void DeecProtocol::on_round_start(Network& net, int round, Rng& rng,
                                   EnergyLedger& ledger) {
   const std::vector<int> heads =
       deec_elect(net, params_, round, rng, death_line_);
-  assignment_ = detail::assign_nearest_head(net, heads, death_line_, exec_);
+  assignment_ = detail::assign_nearest_head(net, heads, death_line_);
   const double m_side = std::cbrt(std::max(net.domain().volume(), 0.0));
   const double k_expected =
       std::max(1.0, params_.p_opt * static_cast<double>(net.size()));
@@ -32,7 +32,7 @@ int DeecProtocol::route(const Network& net, int src, double bits, Rng& rng) {
   if (a != kBaseStationId && net.node(a).operational(death_line_))
     return a;
   const std::vector<int> fresh =
-      detail::assign_nearest_head(net, net.head_ids(), death_line_, exec_);
+      detail::assign_nearest_head(net, net.head_ids(), death_line_);
   return fresh.at(static_cast<std::size_t>(src));
 }
 

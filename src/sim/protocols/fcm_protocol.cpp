@@ -81,7 +81,7 @@ int FcmProtocol::route(const Network& net, int src, double bits, Rng& rng) {
   if (a != kBaseStationId && net.node(a).operational(death_line_))
     return a;
   const std::vector<int> fresh =
-      detail::assign_nearest_head(net, net.head_ids(), death_line_, exec_);
+      detail::assign_nearest_head(net, net.head_ids(), death_line_);
   return fresh.at(static_cast<std::size_t>(src));
 }
 

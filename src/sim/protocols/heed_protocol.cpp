@@ -14,7 +14,7 @@ HeedProtocol::HeedProtocol(HeedConfig cfg, double death_line,
 void HeedProtocol::on_round_start(Network& net, int round, Rng& rng,
                                   EnergyLedger& ledger) {
   const HeedResult result = heed_elect(net, cfg_, round, rng, death_line_);
-  assignment_ = detail::assign_nearest_head(net, result.heads, death_line_, exec_);
+  assignment_ = detail::assign_nearest_head(net, result.heads, death_line_);
   detail::charge_hello(net, result.heads, assignment_, radio_, hello_bits_,
                        cfg_.cluster_range, death_line_, ledger);
 }
@@ -26,7 +26,7 @@ int HeedProtocol::route(const Network& net, int src, double bits, Rng& rng) {
   if (a != kBaseStationId && net.node(a).operational(death_line_))
     return a;
   const std::vector<int> fresh =
-      detail::assign_nearest_head(net, net.head_ids(), death_line_, exec_);
+      detail::assign_nearest_head(net, net.head_ids(), death_line_);
   return fresh.at(static_cast<std::size_t>(src));
 }
 

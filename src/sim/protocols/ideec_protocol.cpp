@@ -27,7 +27,7 @@ void ImprovedDeecProtocol::on_round_start(Network& net, int round, Rng& rng,
   cfg.coverage_radius = cluster_radius(m_side, static_cast<double>(k_));
   const std::vector<int> heads =
       improved_deec_elect(net, cfg, round, rng, death_line_, &stats_);
-  assignment_ = detail::assign_nearest_head(net, heads, death_line_, exec_);
+  assignment_ = detail::assign_nearest_head(net, heads, death_line_);
   detail::charge_hello(net, heads, assignment_, radio_, hello_bits_,
                        cfg.coverage_radius, death_line_, ledger);
 }
@@ -40,7 +40,7 @@ int ImprovedDeecProtocol::route(const Network& net, int src, double bits,
   if (a != kBaseStationId && net.node(a).operational(death_line_))
     return a;
   const std::vector<int> fresh =
-      detail::assign_nearest_head(net, net.head_ids(), death_line_, exec_);
+      detail::assign_nearest_head(net, net.head_ids(), death_line_);
   return fresh.at(static_cast<std::size_t>(src));
 }
 

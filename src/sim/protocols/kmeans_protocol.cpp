@@ -40,7 +40,7 @@ void KmeansProtocol::on_round_start(Network& net, int round, Rng& rng,
     net.node(id).last_head_round = round;
     heads.push_back(id);
   }
-  assignment_ = detail::assign_nearest_head(net, heads, death_line_, exec_);
+  assignment_ = detail::assign_nearest_head(net, heads, death_line_);
 
   const double m_side = std::cbrt(std::max(net.domain().volume(), 0.0));
   detail::charge_hello(net, heads, assignment_, radio_, hello_bits_,
@@ -58,7 +58,7 @@ int KmeansProtocol::route(const Network& net, int src, double bits,
   // Assigned head died mid-round: fall back to the nearest live head.
   const std::vector<int> heads = net.head_ids();
   const std::vector<int> fresh =
-      detail::assign_nearest_head(net, heads, death_line_, exec_);
+      detail::assign_nearest_head(net, heads, death_line_);
   return fresh.at(static_cast<std::size_t>(src));
 }
 

@@ -22,7 +22,7 @@ void LeachRlcProtocol::on_round_start(Network& net, int round, Rng& rng,
     n.is_head = true;
     n.last_head_round = round;
   }
-  assignment_ = detail::assign_nearest_head(net, heads_, death_line_, exec_);
+  assignment_ = detail::assign_nearest_head(net, heads_, death_line_);
   const double m_side = std::cbrt(std::max(net.domain().volume(), 0.0));
   const double k_expected =
       std::max<double>(1.0, static_cast<double>(heads_.size()));
@@ -39,7 +39,7 @@ int LeachRlcProtocol::route(const Network& net, int src, double bits,
   if (a != kBaseStationId && net.node(a).operational(death_line_))
     return a;
   const std::vector<int> fresh =
-      detail::assign_nearest_head(net, net.head_ids(), death_line_, exec_);
+      detail::assign_nearest_head(net, net.head_ids(), death_line_);
   return fresh.at(static_cast<std::size_t>(src));
 }
 

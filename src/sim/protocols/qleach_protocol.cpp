@@ -65,7 +65,7 @@ void QLeachProtocol::on_round_start(Network& net, int round, Rng& rng,
 
   // Members join the nearest alive head of their own sector; a sector with
   // no head (possible only when it holds no operational node) falls back to
-  // the global nearest. RNG-free and id-ordered, so shard-count invariant.
+  // the global nearest. RNG-free and id-ordered.
   assignment_.assign(net.size(), kBaseStationId);
   for (const SensorNode& n : net.nodes()) {
     const std::vector<int>& local =
@@ -101,7 +101,7 @@ int QLeachProtocol::route(const Network& net, int src, double bits,
   // Mid-round repair: the sector head died, so rejoin the global nearest
   // alive head (crossing the sector line beats dropping the packet).
   const std::vector<int> fresh =
-      detail::assign_nearest_head(net, net.head_ids(), death_line_, exec_);
+      detail::assign_nearest_head(net, net.head_ids(), death_line_);
   return fresh.at(static_cast<std::size_t>(src));
 }
 

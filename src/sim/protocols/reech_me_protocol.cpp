@@ -84,7 +84,7 @@ int ReechMeProtocol::route(const Network& net, int src, double bits,
   if (a != kBaseStationId && net.node(a).operational(death_line_))
     return a;
   const std::vector<int> fresh =
-      detail::assign_nearest_head(net, net.head_ids(), death_line_, exec_);
+      detail::assign_nearest_head(net, net.head_ids(), death_line_);
   return fresh.at(static_cast<std::size_t>(src));
 }
 

@@ -24,7 +24,7 @@ void TlLeachProtocol::on_round_start(Network& net, int round, Rng& rng,
   // Members attach to the nearest head of either level (secondary heads do
   // the bulk of collection; a primary can also serve local members).
   assignment_ =
-      detail::assign_nearest_head(net, net.head_ids(), death_line_, exec_);
+      detail::assign_nearest_head(net, net.head_ids(), death_line_);
   const double m_side = std::cbrt(std::max(net.domain().volume(), 0.0));
   const double k_expected = std::max(
       1.0, (p_primary_ + p_secondary_) * static_cast<double>(net.size()));
@@ -41,7 +41,7 @@ int TlLeachProtocol::route(const Network& net, int src, double bits,
   if (a != kBaseStationId && net.node(a).operational(death_line_))
     return a;
   const std::vector<int> fresh =
-      detail::assign_nearest_head(net, net.head_ids(), death_line_, exec_);
+      detail::assign_nearest_head(net, net.head_ids(), death_line_);
   return fresh.at(static_cast<std::size_t>(src));
 }
 

@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "energy/radio_model.hpp"
-#include "geom/region_shards.hpp"
 #include "net/queue.hpp"
 #include "net/traffic.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/audit.hpp"
 #include "sim/mac/engine.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qlec {
 namespace {
@@ -90,7 +87,7 @@ class SimRun {
     }
     if (cfg.bs_trajectory.kind != TrajectoryKind::kNone) {
       // Also RNG-free: the sink advances along a closed-form path at round
-      // boundaries on the main thread, so shard invariance is untouched.
+      // boundaries on the main thread.
       traj_.emplace(cfg.bs_trajectory, net.bs());
     }
     if (cfg.audit.enabled) {
@@ -109,26 +106,11 @@ class SimRun {
       protocol.set_telemetry(telemetry_.get());
       if (fault_) fault_->set_telemetry(telemetry_.get());
     }
-    if (cfg.exec.shards > 1) {
-      // The run owns its OWN pool (never a caller's): a SimRun executing
-      // inside the experiment fan-out pool must not schedule shard tasks
-      // onto the pool it is itself a task of — nested parallel_for on one
-      // pool can deadlock. Pool width caps at the hardware, but the shard
-      // DECOMPOSITION follows cfg exactly, so output is identical however
-      // many workers actually run it.
-      const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-      shard_pool_ = std::make_unique<ThreadPool>(std::min<std::size_t>(
-          static_cast<std::size_t>(cfg.exec.shards), hw));
-      exec_ = std::make_unique<ExecContext>(shard_pool_.get(),
-                                            cfg.exec.shards);
-      protocol.set_exec(exec_.get());
-    }
   }
 
   ~SimRun() {
     // The protocol outlives this run; never leave it a dangling context.
     if (telemetry_ != nullptr) protocol_.set_telemetry(nullptr);
-    if (exec_ != nullptr) protocol_.set_exec(nullptr);
   }
 
   SimResult run();
@@ -185,21 +167,12 @@ class SimRun {
   /// freshly elected head set.
   void refresh_round_state() {
     const std::vector<SensorNode>& nodes = net_.nodes();
-    const auto refresh_one = [&](std::size_t i) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
       const SensorNode& n = nodes[i];
       rs_.pos[i] = n.pos;
       rs_.residual[i] = n.battery.residual();
       rs_.alive[i] = n.operational(cfg_.death_line) ? 1 : 0;
       rs_.is_head[i] = n.is_head ? 1 : 0;
-    };
-    // Pure per-node mirror writes: sharded when the round partition is
-    // live, with values independent of the decomposition.
-    if (exec_ != nullptr && exec_->has_partition()) {
-      exec_->for_shards([&](int s) {
-        for (const std::uint32_t id : exec_->shard_nodes(s)) refresh_one(id);
-      });
-    } else {
-      for (std::size_t i = 0; i < nodes.size(); ++i) refresh_one(i);
     }
     net_.head_ids_into(rs_.heads);
   }
@@ -304,10 +277,10 @@ class SimRun {
     return f;
   }
 
-  /// Routes `p` once (main stream, canonical call order — this is what
-  /// keeps MAC digests shard-invariant) and stages the frame for this
-  /// slot's contention phase. MAC retransmissions keep the routed target:
-  /// the engine retransmits a frame, it does not re-route the packet.
+  /// Routes `p` once (main stream, canonical call order) and stages the
+  /// frame for this slot's contention phase. MAC retransmissions keep the
+  /// routed target: the engine retransmits a frame, it does not re-route
+  /// the packet.
   void mac_enqueue(int src, Packet p) {
     const int target = protocol_.route(net_, src, p.bits, rng_);
     mac_frames_.push_back(make_frame(
@@ -535,12 +508,6 @@ class SimRun {
   std::vector<Stranded> staged_;           // flat-mode two-phase service
   std::vector<std::size_t> arrivals_;      // per-slot Poisson arrivals
 
-  // Engaged when cfg.exec.shards > 1: the run-owned shard pool and the
-  // execution context handed to the protocol (see the ctor note on why the
-  // pool is never borrowed from a caller).
-  std::unique_ptr<ThreadPool> shard_pool_;
-  std::unique_ptr<ExecContext> exec_;
-
   std::int64_t global_slot_ = 0;
   std::uint64_t next_packet_id_ = 0;
   bool flat_ = false;
@@ -746,12 +713,6 @@ SimResult SimRun::run() {
     {
       obs::PhaseTimer election_span(tracer_, "election");
       mobility_.step(net_, cfg_.death_line, rng_);
-      // The spatial partition for this round's sharded phases, built from
-      // the post-mobility positions. A pure function of positions + shard
-      // count, so replays are deterministic.
-      if (exec_ != nullptr)
-        exec_->begin_round(
-            region_partition(net_.positions(), exec_->shards()), net_.size());
       protocol_.on_round_start(net_, round, rng_, result_.energy);
       // Retire the outgoing round's queue-slot mapping before the refresh
       // overwrites rs_.heads (flat mode keeps the identity mapping forever).

@@ -18,7 +18,6 @@
 #include "sim/mac/mac.hpp"
 #include "sim/metrics.hpp"
 #include "sim/protocol.hpp"
-#include "util/exec.hpp"
 #include "util/rng.hpp"
 
 namespace qlec {
@@ -54,6 +53,16 @@ struct TraceOptions {
   bool stop_at_first_death = false;
 
   friend bool operator==(const TraceOptions&, const TraceOptions&) = default;
+};
+
+/// The "sim.exec" config block. `shards` is accepted, without effect: the
+/// round core is serial (DESIGN.md §12 says why intra-round sharding was
+/// removed). It still parses, echoes and enters the job key, so scenario
+/// files and cached result addresses that carry it stay valid.
+struct ExecOptions {
+  int shards = 1;
+
+  friend bool operator==(const ExecOptions&, const ExecOptions&) = default;
 };
 
 struct SimConfig {
@@ -113,10 +122,7 @@ struct SimConfig {
   /// kind == none (the default) leaves the BS static and every digest
   /// bit-identical. Serialized as the top-level "bs.trajectory" block.
   BsTrajectoryConfig bs_trajectory;
-  /// Intra-round sharding (util/exec.hpp, DESIGN.md §12). shards > 1 fans
-  /// the RNG-free round phases over an internal thread pool; every shard
-  /// count — including 1, the default serial core — produces bit-identical
-  /// traces and golden digests (the shard-invariance suite enforces this).
+  /// Accepted, without effect (see ExecOptions).
   ExecOptions exec;
 
   friend bool operator==(const SimConfig&, const SimConfig&) = default;

@@ -9,8 +9,6 @@
 //   QLEC_PERF_REPEATS=<n>    timed repetitions per perf-bench case
 //   QLEC_PERF_BASELINE=<p>   baseline BENCH_scaling.json to embed for
 //                            speedup reporting
-//   QLEC_PERF_SHARDS=<n>     sim.exec.shards for the perf benches (0/unset
-//                            = serial round core)
 //   QLEC_FAULT_INTENSITY=<x> extra multiplier (> 0, default 1) on every
 //                            hazard rate in the resilience sweep
 //   QLEC_RUN_JOBS=<n>        qlec_run seed fan-out width (0/unset = serial;
@@ -83,11 +81,6 @@ inline std::size_t perf_repeats(std::size_t def) {
 
 /// QLEC_PERF_BASELINE: path to a baseline BENCH_scaling.json to embed.
 inline std::string perf_baseline() { return str("QLEC_PERF_BASELINE"); }
-
-/// QLEC_PERF_SHARDS: sim.exec.shards for the perf benches (0 = serial).
-inline int perf_shards() {
-  return static_cast<int>(positive_int("QLEC_PERF_SHARDS", 0));
-}
 
 /// QLEC_TELEMETRY: enable the obs/ telemetry layer with in-memory sinks.
 inline bool telemetry() { return flag("QLEC_TELEMETRY"); }

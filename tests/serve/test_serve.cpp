@@ -94,6 +94,37 @@ TEST(HttpParsing, UrlSplitting) {
   EXPECT_FALSE(parse_http_url("http://1.2.3.4:99999/", host, port, path));
 }
 
+TEST(HttpParsing, StatusLineIsStrict) {
+  EXPECT_EQ(parse_status_line("HTTP/1.1 200 OK"), 200);
+  EXPECT_EQ(parse_status_line("HTTP/1.0 404 Not Found"), 404);
+  EXPECT_EQ(parse_status_line("HTTP/1.1 503"), 503);
+  EXPECT_EQ(parse_status_line("HTTP/1.1 100 Continue"), 100);
+  EXPECT_EQ(parse_status_line("HTTP/1.1 599 x"), 599);
+  for (const int status : {200, 202, 400, 404, 409, 500, 503}) {
+    HttpResponse resp;
+    resp.status = status;
+    const std::string reply = render_http_response(resp);
+    EXPECT_EQ(parse_status_line(reply.substr(0, reply.find("\r\n"))),
+              status);
+  }
+  for (const char* bad :
+       {"HTTP/1.1 abc", "HTTP/1.1 99999999999", "HTTP/1.1 20", "HTTP/1.1",
+        "HTTP/1.1 2000 OK", "HTTP/1.1 099 x", "HTTP/1.1 600 x",
+        "HTTP/1.1  200 OK", "HTTP/2.0 200 OK", "HTTP/1.x 200 OK",
+        "http/1.1 200 OK", "HTTP/1.1 +20 OK", ""})
+    EXPECT_EQ(parse_status_line(bad), std::nullopt) << bad;
+}
+
+TEST(HttpClient, OutOfRangeStatusIsAMalformedResponse) {
+  HttpServer server("127.0.0.1", 0, [](const HttpRequest&, HttpResponse& r) {
+    r.status = 20;
+  });
+  std::string error;
+  EXPECT_FALSE(
+      http_request("127.0.0.1", server.port(), "GET", "/", "", &error));
+  EXPECT_EQ(error, "malformed response");
+}
+
 TEST_F(ServeTest, HealthzReportsVersions) {
   const ClientResponse r = roundtrip("GET", "/healthz");
   EXPECT_EQ(r.status, 200);

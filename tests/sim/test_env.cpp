@@ -2,7 +2,7 @@
 // DESIGN.md §16): occlusion symmetry and grid-vs-brute bit-identity on
 // randomized worlds, attenuation monotonicity, the zero-obstruction
 // byte-identity leg of the digest contract, water/harvest math, BsTrajectory
-// determinism across shard counts and ExecPolicy, harvest-credit ledger
+// determinism across reruns and ExecPolicy, harvest-credit ledger
 // reconciliation (fault storms included), and the moved-BS rerouting
 // regression for the QlecRouter.
 #include <gtest/gtest.h>
@@ -205,20 +205,42 @@ TEST(Env, ObstructedWorldChangesTheTraceButStaysDeterministic) {
   EXPECT_EQ(digests("qlec", world), a) << "reruns must replay exactly";
 }
 
-TEST(Env, EnvWorldInvariantAcrossShardsAndPolicies) {
+TEST(Env, EnvWorldInvariantAcrossPolicies) {
   ExperimentConfig world = small_config();
   world.sim.env.enabled = true;
   world.sim.env.atten_per_unit = 0.015;
   world.sim.env.terrain = EnvTerrain{true, 0.25, 0.5};
   world.sim.env.obstacles.push_back(
       EnvObstacle{Aabb{{20, 100, 0}, {180, 140, 120}}, 0.01});
-  const auto base = digests("qlec", world);
-  for (const int shards : {2, 7, 16}) {
-    ExperimentConfig sharded = world;
-    sharded.sim.exec.shards = shards;
-    EXPECT_EQ(digests("qlec", sharded), base) << "shards=" << shards;
+  EXPECT_EQ(digests("qlec", world, ExecPolicy::pool(4)),
+            digests("qlec", world));
+}
+
+TEST(Env, FullStackWorldWithOrbitingSinkReplaysUnderAudit) {
+  // The whole environment stack at once: terrain + obstacle occlusion,
+  // underwater amp scaling, depth-decayed harvesting and an orbiting sink,
+  // on top of the throwing auditor (a violation fails the run).
+  ExperimentConfig cfg = small_config();
+  cfg.sim.audit.enabled = true;
+  cfg.sim.audit.throw_on_violation = true;
+  cfg.sim.env.enabled = true;
+  cfg.sim.env.atten_per_unit = 0.015;
+  cfg.sim.env.sever_depth = 120.0;
+  cfg.sim.env.obstacles.push_back(
+      EnvObstacle{Aabb{{40, 40, 0}, {120, 120, 160}}, 0.01});
+  cfg.sim.env.terrain = EnvTerrain{true, 0.25, 0.5};
+  cfg.sim.env.water = EnvWater{true, 0.9, 0.002, 0.005};
+  cfg.sim.env.harvest = EnvHarvest{0.01, 0.02, 0.1};
+  cfg.sim.bs_trajectory.kind = TrajectoryKind::kOrbit;
+  cfg.sim.bs_trajectory.orbit_center = {100, 100, 190};
+  cfg.sim.bs_trajectory.orbit_radius = 60.0;
+  cfg.sim.bs_trajectory.orbit_period = 4;
+  for (const std::string protocol : {"qlec", "leach"}) {
+    const auto base = digests(protocol, cfg);
+    EXPECT_EQ(digests(protocol, cfg), base) << protocol << ": rerun";
+    EXPECT_EQ(digests(protocol, cfg, ExecPolicy::pool(2)), base)
+        << protocol << ": seed fan-out";
   }
-  EXPECT_EQ(digests("qlec", world, ExecPolicy::pool(4)), base);
 }
 
 // ---- BsTrajectory ----
@@ -267,7 +289,7 @@ TEST(Trajectory, OrbitIsPeriodicAndOnTheCircle) {
   EXPECT_EQ(t.position(0), (Vec3{170, 100, 200}));  // theta = 0
 }
 
-TEST(Trajectory, MobileSinkDeterministicAcrossShardsAndPolicies) {
+TEST(Trajectory, MobileSinkDeterministicAcrossPolicies) {
   ExperimentConfig world = small_config();
   world.sim.bs_trajectory.kind = TrajectoryKind::kOrbit;
   world.sim.bs_trajectory.orbit_center = {100, 100, 200};
@@ -276,11 +298,6 @@ TEST(Trajectory, MobileSinkDeterministicAcrossShardsAndPolicies) {
   const auto base = digests("qlec", world);
   EXPECT_NE(digests("qlec", small_config()), base)
       << "the orbiting sink must change the trace";
-  for (const int shards : {2, 7, 16}) {
-    ExperimentConfig sharded = world;
-    sharded.sim.exec.shards = shards;
-    EXPECT_EQ(digests("qlec", sharded), base) << "shards=" << shards;
-  }
   EXPECT_EQ(digests("qlec", world, ExecPolicy::pool(4)), base);
   EXPECT_EQ(digests("qlec", world), base) << "reruns must replay exactly";
 }

@@ -6,15 +6,15 @@
 // the MAC counters, per-node energy, latency, and the audit outcome — for
 // each cell of a declarative grid (every registry protocol x sim.mac x
 // sim.fault x sim.env) and compares the hashes against
-// tests/golden/sim_result.pin, one line per cell. Every cell is replayed at
-// sim.exec.shards 1 and 3 against the same line, which extends shard
-// invariance from trace digests to the full result.
+// tests/golden/sim_result.pin, one line per cell. One cell is replayed
+// again with sim.exec.shards set: the knob is accepted, without effect.
 //
 // When the model changes INTENTIONALLY, regenerate with
 //   QLEC_REGEN_GOLDEN=1 ./build/tests/test_sim --gtest_filter='ResultPin.*'
 // and commit the rewritten pin file with the change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <fstream>
@@ -228,8 +228,7 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-std::string cell_hash(Cell cell, int shards) {
-  cell.cfg.sim.exec.shards = shards;
+std::string cell_hash(const Cell& cell) {
   const std::vector<SimResult> runs = run_replications(cell.protocol, cell.cfg);
   EXPECT_EQ(runs.size(), 1u) << cell.key;
   return runs.empty() ? std::string() : hex(result_hash(runs.front()));
@@ -268,12 +267,12 @@ TEST(ResultPin, HashCoversEveryResultField) {
   }));
 }
 
-TEST(ResultPin, EveryCellMatchesCommittedPinAtShardOneAndThree) {
+TEST(ResultPin, EveryCellMatchesCommittedPin) {
   const std::vector<Cell> cells = grid();
   ASSERT_EQ(cells.size(), protocol_names().size() << kAxisCount);
   if (env::regen_golden()) {
     std::ofstream out(kPinPath);
-    for (const Cell& c : cells) out << c.key << " " << cell_hash(c, 1) << "\n";
+    for (const Cell& c : cells) out << c.key << " " << cell_hash(c) << "\n";
     return;
   }
   const std::map<std::string, std::string> pin = read_pin();
@@ -283,13 +282,27 @@ TEST(ResultPin, EveryCellMatchesCommittedPinAtShardOneAndThree) {
   for (const Cell& c : cells) {
     const auto it = pin.find(c.key);
     ASSERT_NE(it, pin.end()) << c.key << ": no pin line";
-    for (const int shards : {1, 3})
-      EXPECT_EQ(cell_hash(c, shards), it->second)
-          << c.key << " at shards=" << shards
-          << ": a SimResult field diverged from the committed pin. If the "
-          << "model change is intentional, regenerate with "
-          << "QLEC_REGEN_GOLDEN=1 and commit tests/golden/sim_result.pin.";
+    EXPECT_EQ(cell_hash(c), it->second)
+        << c.key
+        << ": a SimResult field diverged from the committed pin. If the "
+        << "model change is intentional, regenerate with "
+        << "QLEC_REGEN_GOLDEN=1 and commit tests/golden/sim_result.pin.";
   }
+}
+
+TEST(ResultPin, ShardsKnobIsAcceptedWithoutEffect) {
+  // QLEC's fullest cell (MAC, faults and env all on), run at shards 4,
+  // must still equal its pin line.
+  const std::string key = "qlec mac=1 fault=1 env=1";
+  const std::vector<Cell> cells = grid();
+  const auto cell = std::find_if(cells.begin(), cells.end(),
+                                 [&](const Cell& c) { return c.key == key; });
+  ASSERT_NE(cell, cells.end()) << key << ": not in the grid";
+  const std::map<std::string, std::string> pin = read_pin();
+  ASSERT_EQ(pin.count(key), 1u) << key << ": no pin line";
+  Cell sharded = *cell;
+  sharded.cfg.sim.exec.shards = 4;
+  EXPECT_EQ(cell_hash(sharded), pin.at(key));
 }
 
 }  // namespace
