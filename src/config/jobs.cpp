@@ -24,7 +24,8 @@ struct Job {
   std::condition_variable cv;
   JobState state = JobState::kQueued;
   bool cached = false;  ///< result came from the ResultStore
-  CellResult result;
+  /// Set on kDone; shared with the ResultStore entry when there is one.
+  std::shared_ptr<const CellResult> result;
   std::exception_ptr error;
   /// Best-effort mid-run cancel; run_cell polls it between seeds.
   std::atomic<bool> cancel_requested{false};
@@ -99,7 +100,8 @@ ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
   }
 }
 
-std::optional<CellResult> ResultStore::lookup(const std::string& key) const {
+std::shared_ptr<const CellResult> ResultStore::find(
+    const std::string& key) const {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = memory_.find(key);
@@ -111,7 +113,9 @@ std::optional<CellResult> ResultStore::lookup(const std::string& key) const {
   if (!dir_.empty()) {
     if (const auto text = read_text_file(dir_ + "/" + key + ".json")) {
       try {
-        CellResult r = cell_record_from_json(*text, key, kCodeVersion);
+        auto r = std::make_shared<CellResult>(
+            cell_record_from_json(*text, key, kCodeVersion));
+        r->keyed_json = render_keyed_json(*r);
         const std::lock_guard<std::mutex> lock(mutex_);
         memory_.emplace(key, r);
         ++stats_.hits;
@@ -124,16 +128,24 @@ std::optional<CellResult> ResultStore::lookup(const std::string& key) const {
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.misses;
+  return nullptr;
+}
+
+std::optional<CellResult> ResultStore::lookup(const std::string& key) const {
+  if (const std::shared_ptr<const CellResult> r = find(key)) return *r;
   return std::nullopt;
 }
 
-void ResultStore::insert(const std::string& key, const CellResult& result) {
+std::shared_ptr<const CellResult> ResultStore::insert(
+    const std::string& key, const CellResult& result) {
+  auto stored = std::make_shared<CellResult>(result);
+  stored->keyed_json = render_keyed_json(*stored);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.inserts;
-    memory_.insert_or_assign(key, result);
+    memory_.insert_or_assign(key, stored);
   }
-  if (dir_.empty()) return;
+  if (dir_.empty()) return stored;
   // Write-then-rename so a concurrent reader (or an interrupted process)
   // never observes a partial record; the disk tier is best-effort — an IO
   // failure only costs future cross-process hits.
@@ -141,11 +153,12 @@ void ResultStore::insert(const std::string& key, const CellResult& result) {
   const std::string tmp =
       final_path + ".tmp" +
       std::to_string(std::hash<std::thread::id>{}(std::this_thread::get_id()));
-  if (write_text_file(tmp, cell_record_to_json(result, key, kCodeVersion))) {
+  if (write_text_file(tmp, cell_record_to_json(*stored, key, kCodeVersion))) {
     std::error_code ec;
     std::filesystem::rename(tmp, final_path, ec);
     if (ec) std::filesystem::remove(tmp, ec);
   }
+  return stored;
 }
 
 ResultStore::Stats ResultStore::stats() const {
@@ -206,7 +219,7 @@ CellResult JobHandle::await() const {
   });
   if (job_->state == JobState::kCancelled) throw JobCancelled();
   if (job_->state == JobState::kFailed) std::rethrow_exception(job_->error);
-  CellResult r = job_->result;
+  CellResult r = *job_->result;
   // A coalesced submission computed under the first submitter's identity;
   // metrics/digests/config are key-determined, the presentation is ours.
   r.label = label_;
@@ -260,26 +273,57 @@ JobRunner::~JobRunner() {
   idle_cv_.notify_all();
 }
 
+std::optional<JobHandle> JobRunner::attach_live(const JobSpec& spec,
+                                                bool accept_done) {
+  const auto it = live_.find(spec.key);
+  if (it == live_.end()) return std::nullopt;
+  const std::shared_ptr<Job> existing = it->second.lock();
+  if (existing == nullptr) return std::nullopt;
+  {
+    const std::lock_guard<std::mutex> jl(existing->m);
+    if (existing->state != JobState::kQueued &&
+        existing->state != JobState::kRunning &&
+        !(accept_done && existing->state == JobState::kDone))
+      return std::nullopt;
+  }
+  ++stats_.coalesced;
+  JobHandle h(existing, spec.label, spec.bindings);
+  h.coalesced_ = true;
+  return h;
+}
+
 JobHandle JobRunner::submit(const JobSpec& spec, int priority) {
-  std::shared_ptr<Job> job;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_)
       throw std::runtime_error("JobRunner::submit after shutdown");
     ++stats_.submitted;
-    const auto it = live_.find(spec.key);
-    if (it != live_.end()) {
-      if (const std::shared_ptr<Job> existing = it->second.lock()) {
-        const std::lock_guard<std::mutex> jl(existing->m);
-        if (existing->state == JobState::kQueued ||
-            existing->state == JobState::kRunning) {
-          ++stats_.coalesced;
-          JobHandle h(existing, spec.label, spec.bindings);
-          h.coalesced_ = true;
-          return h;
-        }
-      }
+    if (auto h = attach_live(spec, /*accept_done=*/false)) return *h;
+  }
+  // A stored key is answered here, without the runner lock held through
+  // the lookup: the handle is born done and never reaches a worker.
+  if (opts_.store != nullptr) {
+    if (auto hit = opts_.store->find(spec.key)) {
+      auto job = std::make_shared<Job>();
+      job->spec.key = spec.key;  // all a finished job's handles read
+      job->result = std::move(hit);
+      job->cached = true;
+      job->state = JobState::kDone;
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.cache_hits;
+      return JobHandle(std::move(job), spec.label, spec.bindings);
     }
+  }
+  std::shared_ptr<Job> job;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_)
+      throw std::runtime_error("JobRunner::submit after shutdown");
+    // An identical submission may have queued the key since the first
+    // look, and even finished it after the lookup missed; its result is
+    // this one's.
+    if (auto h = attach_live(spec, /*accept_done=*/opts_.store != nullptr))
+      return *h;
     job = std::make_shared<Job>();
     job->spec = spec;
     job->priority = priority;
@@ -335,22 +379,6 @@ void JobRunner::run_job(const std::shared_ptr<Job>& job) {
   // Stats are bumped BEFORE the terminal state is published: an awaiter
   // that wakes from this job must already see it in stats() (the load
   // bench reads per-phase deltas that way).
-  if (opts_.store != nullptr) {
-    if (auto hit = opts_.store->lookup(job->spec.key)) {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.cache_hits;
-      }
-      {
-        const std::lock_guard<std::mutex> lock(job->m);
-        job->result = std::move(*hit);
-        job->cached = true;
-        job->state = JobState::kDone;
-      }
-      job->cv.notify_all();
-      return;
-    }
-  }
   SweepCell cell;
   cell.bindings = job->spec.bindings;
   cell.label = job->spec.label;
@@ -359,14 +387,17 @@ void JobRunner::run_job(const std::shared_ptr<Job>& job) {
     CellResult r = run_cell(cell, opts_.within_cell, &job->cancel_requested);
     // Insert before publishing kDone so a submitter that awaits this job
     // and immediately resubmits the key is guaranteed a hit.
-    if (opts_.store != nullptr) opts_.store->insert(job->spec.key, r);
+    std::shared_ptr<const CellResult> result =
+        opts_.store != nullptr
+            ? opts_.store->insert(job->spec.key, r)
+            : std::make_shared<const CellResult>(std::move(r));
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.simulated;
     }
     {
       const std::lock_guard<std::mutex> lock(job->m);
-      job->result = std::move(r);
+      job->result = std::move(result);
       job->state = JobState::kDone;
     }
     job->cv.notify_all();

@@ -4,7 +4,8 @@
 //   plan()    grid cells -> immutable JobSpecs, each keyed by a digest of
 //             the fully-resolved config echo + kCodeVersion
 //   submit()  JobSpec -> JobHandle (status / cancel / await) on a shared
-//             scheduler with priorities and in-flight deduplication
+//             scheduler with priorities and in-flight deduplication; a key
+//             the store holds comes back done, without queueing
 //   ResultStore  content-addressed cache: a key that was simulated once —
 //             this process or any earlier run sharing the store directory —
 //             returns its CellResult without re-simulation
@@ -57,7 +58,7 @@ std::vector<JobSpec> plan(const std::vector<SweepCell>& cells);
 
 enum class JobState {
   kQueued,     ///< accepted, waiting for a worker
-  kRunning,    ///< a worker is simulating (or checking the store)
+  kRunning,    ///< a worker is simulating
   kDone,       ///< result available (simulated or served from cache)
   kCancelled,  ///< cancelled before completion; no result, no cache entry
   kFailed,     ///< the simulation threw; await() rethrows
@@ -74,6 +75,10 @@ struct JobCancelled : std::runtime_error {
 /// record written atomically via rename, so a crash or cancellation can
 /// never leave a partial entry), and lookups fall back to disk — a store
 /// directory warms across processes. With an empty dir it is memory-only.
+/// The memory tier holds each result once, immutable and shared with the
+/// jobs it answers, and with its keyed_json rendered when it was inserted
+/// or promoted from disk, so a hit's manifest renders only its label and
+/// bindings.
 class ResultStore {
  public:
   explicit ResultStore(std::string dir = "");
@@ -82,7 +87,12 @@ class ResultStore {
   /// strict record parse (corruption, future schema, foreign code version)
   /// are treated as misses.
   std::optional<CellResult> lookup(const std::string& key) const;
-  void insert(const std::string& key, const CellResult& result);
+  /// lookup() without the copy: the stored result itself, or null.
+  std::shared_ptr<const CellResult> find(const std::string& key) const;
+  /// Stores a copy of `result`, with its keyed_json rendered, and returns
+  /// it.
+  std::shared_ptr<const CellResult> insert(const std::string& key,
+                                           const CellResult& result);
 
   const std::string& dir() const noexcept { return dir_; }
 
@@ -97,8 +107,9 @@ class ResultStore {
  private:
   mutable std::mutex mutex_;
   std::string dir_;
-  // lookup() promotes disk hits into memory, hence mutable.
-  mutable std::unordered_map<std::string, CellResult> memory_;
+  // find() promotes disk hits into memory, hence mutable.
+  mutable std::unordered_map<std::string, std::shared_ptr<const CellResult>>
+      memory_;
   mutable Stats stats_;
 };
 
@@ -159,7 +170,8 @@ struct JobRunnerOptions {
 /// JobSpecs. Higher priority runs first; ties run in submit order.
 /// Submitting a key that is already queued or running coalesces onto the
 /// existing job, so concurrent identical submissions perform exactly one
-/// simulation.
+/// simulation. A key the store holds is answered by submit() itself: the
+/// handle comes back done, and the job never queues or wakes a worker.
 class JobRunner {
  public:
   explicit JobRunner(JobRunnerOptions opts = {});
@@ -187,6 +199,9 @@ class JobRunner {
  private:
   void worker_loop();
   void run_job(const std::shared_ptr<detail::Job>& job);
+  /// A coalesced handle on the live job for `spec.key` when that job is
+  /// queued or running (or done, with `accept_done`). Caller holds mutex_.
+  std::optional<JobHandle> attach_live(const JobSpec& spec, bool accept_done);
 
   JobRunnerOptions opts_;
   mutable std::mutex mutex_;

@@ -5,13 +5,15 @@
 // ConfigError wording. Not installed API: config/*.cpp only.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
-#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "config/schema.hpp"
 #include "util/json.hpp"
@@ -22,8 +24,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Largest integer a JSON double carries exactly.
 constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
 
-inline std::string join(const std::string& path, const std::string& key) {
-  return path.empty() ? key : path + "." + key;
+inline std::string join(const std::string& path, std::string_view key) {
+  std::string out = path;
+  if (!out.empty()) out += '.';
+  out += key;
+  return out;
 }
 
 inline std::string fmt_num(double d) {
@@ -65,35 +70,51 @@ class ObjectReader {
       : v_(v), path_(std::move(path)) {
     if (!v_.is_object())
       throw ConfigError(path_, "expected object, got " + describe(v_));
-    std::set<std::string> seen;
-    for (const auto& [k, unused] : v_.members()) {
-      (void)unused;
-      if (!seen.insert(k).second)
-        throw ConfigError(join(path_, k), "duplicate key");
-    }
+    const auto& members = v_.members();
+    // The first member, in document order, whose key an earlier member
+    // has: the earliest non-first entry of a run of equal keys, sorted by
+    // (key, position).
+    std::vector<std::size_t> order(members.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&members](auto a, auto b) {
+      const int c = members[a].first.compare(members[b].first);
+      return c != 0 ? c < 0 : a < b;
+    });
+    std::size_t dup = members.size();
+    for (std::size_t i = 1; i < order.size(); ++i)
+      if (members[order[i]].first == members[order[i - 1]].first)
+        dup = std::min(dup, order[i]);
+    if (dup < members.size())
+      throw ConfigError(join(path_, members[dup].first), "duplicate key");
+    consumed_.assign(members.size(), false);
   }
 
   /// Marks `key` consumed; nullptr when absent (field keeps its default).
-  const JsonValue* find(const std::string& key) {
-    consumed_.insert(key);
-    return v_.get(key);
+  const JsonValue* find(std::string_view key) {
+    const auto& members = v_.members();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (members[i].first == key) {
+        consumed_[i] = true;
+        return &members[i].second;
+      }
+    }
+    return nullptr;
   }
 
-  std::string sub(const std::string& key) const { return join(path_, key); }
+  std::string sub(std::string_view key) const { return join(path_, key); }
   const std::string& path() const noexcept { return path_; }
 
   /// Call after reading every known key: any member left over is unknown.
   void finish() const {
-    for (const auto& [k, unused] : v_.members()) {
-      (void)unused;
-      if (consumed_.count(k) == 0)
-        throw ConfigError(join(path_, k), "unknown key");
-    }
+    const auto& members = v_.members();
+    for (std::size_t i = 0; i < members.size(); ++i)
+      if (!consumed_[i])
+        throw ConfigError(join(path_, members[i].first), "unknown key");
   }
 
   // -- typed leaf readers; absent keys leave `out` untouched --
 
-  void number(const std::string& key, double& out, double lo = -kInf,
+  void number(std::string_view key, double& out, double lo = -kInf,
               double hi = kInf, bool lo_open = false) {
     const JsonValue* j = find(key);
     if (j == nullptr) return;
@@ -106,7 +127,7 @@ class ObjectReader {
   }
 
   /// Exact integer in [lo, hi]; 7.5 or 1e300 are type errors here.
-  long long integer(const std::string& key, long long cur, long long lo,
+  long long integer(std::string_view key, long long cur, long long lo,
                     long long hi = std::numeric_limits<long long>::max()) {
     const JsonValue* j = find(key);
     if (j == nullptr) return cur;
@@ -122,24 +143,24 @@ class ObjectReader {
     return static_cast<long long>(d);
   }
 
-  void int_field(const std::string& key, int& out, long long lo) {
+  void int_field(std::string_view key, int& out, long long lo) {
     out = static_cast<int>(
         integer(key, out, lo, std::numeric_limits<int>::max()));
   }
 
-  void size_field(const std::string& key, std::size_t& out, long long lo) {
+  void size_field(std::string_view key, std::size_t& out, long long lo) {
     out = static_cast<std::size_t>(
         integer(key, static_cast<long long>(out), lo));
   }
 
   /// Unsigned seed: any integer in [0, 2^53] (the exactly-representable
   /// range; larger seeds would silently round through the double channel).
-  void seed_field(const std::string& key, std::uint64_t& out) {
+  void seed_field(std::string_view key, std::uint64_t& out) {
     out = static_cast<std::uint64_t>(
         integer(key, static_cast<long long>(out), 0));
   }
 
-  void boolean(const std::string& key, bool& out) {
+  void boolean(std::string_view key, bool& out) {
     const JsonValue* j = find(key);
     if (j == nullptr) return;
     if (!j->is_bool())
@@ -148,7 +169,7 @@ class ObjectReader {
     out = j->as_bool();
   }
 
-  void string_field(const std::string& key, std::string& out) {
+  void string_field(std::string_view key, std::string& out) {
     const JsonValue* j = find(key);
     if (j == nullptr) return;
     if (!j->is_string())
@@ -159,7 +180,7 @@ class ObjectReader {
  private:
   const JsonValue& v_;
   std::string path_;
-  std::set<std::string> consumed_;
+  std::vector<bool> consumed_;  ///< per member, in document order
 };
 
 }  // namespace qlec::config::detail

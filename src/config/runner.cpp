@@ -63,15 +63,9 @@ RunningStats stat_from_json(const JsonValue& v, const std::string& path) {
                                     min, max);
 }
 
-void write_cell_body(JsonWriter& w, const CellResult& c) {
-  w.key("label"); w.value(c.label);
-  w.key("bindings");
-  w.begin_object();
-  for (const auto& [path, value] : c.bindings) {
-    w.key(path);
-    write_value(w, value);
-  }
-  w.end_object();
+/// The cell body members that the job key fixes; see
+/// CellResult::keyed_json.
+void write_keyed_members(JsonWriter& w, const CellResult& c) {
   w.key("protocol"); w.value(c.metrics.protocol);
   w.key("metrics");
   w.begin_object();
@@ -84,6 +78,21 @@ void write_cell_body(JsonWriter& w, const CellResult& c) {
   w.end_array();
   w.key("config");
   write_experiment(w, c.config);
+}
+
+void write_cell_body(JsonWriter& w, const CellResult& c) {
+  w.key("label"); w.value(c.label);
+  w.key("bindings");
+  w.begin_object();
+  for (const auto& [path, value] : c.bindings) {
+    w.key(path);
+    write_value(w, value);
+  }
+  w.end_object();
+  if (c.keyed_json)
+    w.raw_value(*c.keyed_json);
+  else
+    write_keyed_members(w, c);
 }
 
 /// Parses the shared cell-body keys out of `r` (the caller owns any extra
@@ -219,6 +228,16 @@ RunManifest run_grid(const std::vector<SweepCell>& cells,
     m.cells.push_back(runner.submit(plan_cell(cell)).await());
   }
   return m;
+}
+
+std::shared_ptr<const std::string> render_keyed_json(const CellResult& c) {
+  JsonWriter w;
+  w.begin_object();
+  write_keyed_members(w, c);
+  w.end_object();
+  const std::string& object = w.str();  // the members, braced
+  return std::make_shared<const std::string>(
+      object.substr(1, object.size() - 2));
 }
 
 std::string manifest_to_json(const RunManifest& m) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,13 @@ struct CellResult {
   /// Per-seed trace digests (16 hex digits each) when the cell ran with
   /// sim.trace.record; empty otherwise.
   std::vector<std::string> digests;
+  /// The cell body's members from "protocol" through "config", rendered
+  /// once by render_keyed_json when the ResultStore stores the result; null
+  /// otherwise. They are fixed by the job key, so manifest_to_json and
+  /// cell_record_to_json splice them in place of rendering metrics,
+  /// digests and config again. Code that edits those fields afterwards
+  /// must reset this.
+  std::shared_ptr<const std::string> keyed_json;
 };
 
 struct RunManifest {
@@ -50,6 +58,11 @@ RunManifest run_grid(const std::vector<SweepCell>& cells,
 CellResult run_cell(const SweepCell& cell,
                     const ExecPolicy& exec = ExecPolicy::serial(),
                     const std::atomic<bool>* cancel = nullptr);
+
+/// The members of `c`'s cell body that its job key fixes ("protocol",
+/// "metrics", "digests", "config"), rendered from its fields as
+/// manifest_to_json would write them, for CellResult::keyed_json.
+std::shared_ptr<const std::string> render_keyed_json(const CellResult& c);
 
 /// BENCH-style JSON: {schema_version, name, description, cells:[{label,
 /// bindings, protocol, metrics{...}, digests, config}]}. The config echo is

@@ -1,9 +1,10 @@
 #include "config/schema.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -118,7 +119,7 @@ const char* table_name(const EnumTable<E>& table, E value) noexcept {
 }
 
 template <typename E>
-void enum_field(ObjectReader& r, const std::string& key, E& out,
+void enum_field(ObjectReader& r, std::string_view key, E& out,
                 const EnumTable<E>& table) {
   const JsonValue* j = r.find(key);
   if (j == nullptr) return;
@@ -726,15 +727,18 @@ ProtocolOptions read_protocol(const JsonValue& v, const std::string& path,
                               ProtocolOptions out) {
   ObjectReader r(v, path);
   if (const JsonValue* j = r.find("name")) {
-    std::string allowed;
-    for (const std::string& n : protocol_names()) {
-      if (!allowed.empty()) allowed += '|';
-      allowed += n;
-      if (j->is_string() && j->as_string() == n) out.name = n;
-    }
-    if (!j->is_string() || out.name != j->as_string())
+    static const std::vector<std::string> names = protocol_names();
+    if (!j->is_string() ||
+        std::find(names.begin(), names.end(), j->as_string()) == names.end()) {
+      std::string allowed;
+      for (const std::string& n : names) {
+        if (!allowed.empty()) allowed += '|';
+        allowed += n;
+      }
       throw ConfigError(r.sub("name"), "expected one of " + allowed +
                                            ", got " + describe(*j));
+    }
+    out.name = j->as_string();
   }
   if (const JsonValue* j = r.find("qlec"))
     out.qlec = read_qlec_params(*j, r.sub("qlec"), out.qlec);
@@ -799,7 +803,13 @@ std::string experiment_to_json(const ExperimentConfig& cfg) {
 
 ExperimentConfig experiment_from_json(const JsonValue& v,
                                       const std::string& path) {
-  ExperimentConfig out;
+  return experiment_from_json(v, ExperimentConfig{}, path);
+}
+
+ExperimentConfig experiment_from_json(const JsonValue& v,
+                                      const ExperimentConfig& base,
+                                      const std::string& path) {
+  ExperimentConfig out = base;
   ObjectReader r(v, path);
   if (const JsonValue* j = r.find("scenario"))
     out.scenario = read_scenario(*j, r.sub("scenario"), out.scenario);

@@ -57,6 +57,12 @@ std::string experiment_to_json(const ExperimentConfig& cfg);
 ExperimentConfig experiment_from_json(const JsonValue& v,
                                       const std::string& path = "");
 
+/// As above, but reads `v` onto `base` instead of the compiled defaults: a
+/// field `v` leaves out keeps its value in `base`.
+ExperimentConfig experiment_from_json(const JsonValue& v,
+                                      const ExperimentConfig& base,
+                                      const std::string& path = "");
+
 /// parse_json + experiment_from_json. Malformed JSON becomes a ConfigError
 /// with an empty path and the parser's byte-offset message.
 ExperimentConfig parse_experiment(const std::string& text);

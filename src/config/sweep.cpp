@@ -1,5 +1,6 @@
 #include "config/sweep.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 
@@ -24,19 +25,25 @@ std::vector<std::string> split_path(const std::string& path) {
   }
 }
 
+/// The members of the node at parts[0..depth), the node a path write goes
+/// through: an object's own members, or none for null (which a write turns
+/// into an object). Anything else is a ConfigError at that prefix.
+std::vector<std::pair<std::string, JsonValue>> members_on_path(
+    const JsonValue& node, const std::string& full_path,
+    const std::vector<std::string>& parts, std::size_t depth) {
+  if (node.is_object()) return node.members();
+  if (node.is_null()) return {};
+  std::string prefix = parts[0];
+  for (std::size_t i = 1; i < depth; ++i) prefix += "." + parts[i];
+  throw ConfigError(full_path, "path traverses non-object value at " + prefix);
+}
+
 JsonValue set_in(const JsonValue& node, const std::string& full_path,
                  const std::vector<std::string>& parts, std::size_t depth,
                  const JsonValue& leaf) {
   if (depth == parts.size()) return leaf;
-  if (!node.is_object() && !node.is_null()) {
-    std::string prefix = parts[0];
-    for (std::size_t i = 1; i < depth; ++i) prefix += "." + parts[i];
-    throw ConfigError(full_path,
-                      "path traverses non-object value at " + prefix);
-  }
   std::vector<std::pair<std::string, JsonValue>> members =
-      node.is_object() ? node.members()
-                       : std::vector<std::pair<std::string, JsonValue>>{};
+      members_on_path(node, full_path, parts, depth);
   for (auto& [k, v] : members) {
     if (k == parts[depth]) {
       v = set_in(v, full_path, parts, depth + 1, leaf);
@@ -46,6 +53,27 @@ JsonValue set_in(const JsonValue& node, const std::string& full_path,
   members.emplace_back(
       parts[depth],
       set_in(JsonValue::make_null(), full_path, parts, depth + 1, leaf));
+  return JsonValue::make_object(std::move(members));
+}
+
+/// `node` without the member at the rest of the path: the inverse walk of
+/// set_in, failing where set_in fails, so a document a sweep writes into
+/// can be read without the subtrees the sweep replaces. A leaf key that
+/// repeats is kept, so the strict parse still rejects the duplicate.
+JsonValue erase_in(const JsonValue& node, const std::string& full_path,
+                   const std::vector<std::string>& parts, std::size_t depth) {
+  std::vector<std::pair<std::string, JsonValue>> members =
+      members_on_path(node, full_path, parts, depth);
+  const auto named = [&key = parts[depth]](const auto& m) {
+    return m.first == key;
+  };
+  const auto it = std::find_if(members.begin(), members.end(), named);
+  if (it != members.end()) {
+    if (depth + 1 < parts.size())
+      it->second = erase_in(it->second, full_path, parts, depth + 1);
+    else if (std::count_if(members.begin(), members.end(), named) == 1)
+      members.erase(it);
+  }
   return JsonValue::make_object(std::move(members));
 }
 
@@ -113,21 +141,30 @@ std::vector<SweepCell> expand_grid(const ScenarioFile& scenario,
     total *= a.values.size();
   }
 
+  // An axis value replaces its subtree wholesale, so the base is read once
+  // with every axis path removed, and each cell then reads only its own
+  // bindings onto a copy of that typed base.
+  std::vector<std::vector<std::string>> parts;
+  for (const SweepAxis& a : axes) {
+    parts.push_back(split_path(a.path));
+    base = erase_in(base, a.path, parts.back(), 0);
+  }
+  const ExperimentConfig typed_base = experiment_from_json(base);
+
   std::vector<SweepCell> cells;
   cells.reserve(total);
   std::vector<std::size_t> idx(axes.size(), 0);
   for (std::size_t cell = 0; cell < total; ++cell) {
-    SweepCell c;
-    JsonValue doc = base;
+    SweepCell& c = cells.emplace_back();
+    JsonValue overlay = JsonValue::make_object({});
     for (std::size_t a = 0; a < axes.size(); ++a) {
       const JsonValue& v = axes[a].values[idx[a]];
-      doc = with_path_set(doc, axes[a].path, v);
+      overlay = set_in(overlay, axes[a].path, parts[a], 0, v);
       c.bindings.emplace_back(axes[a].path, v);
       if (!c.label.empty()) c.label += ' ';
       c.label += axes[a].path + "=" + leaf_label(v);
     }
-    c.config = experiment_from_json(doc);
-    cells.push_back(std::move(c));
+    c.config = experiment_from_json(overlay, typed_base);
     // Odometer increment, last axis fastest.
     for (std::size_t a = axes.size(); a-- > 0;) {
       if (++idx[a] < axes[a].values.size()) break;

@@ -14,9 +14,10 @@
 //   }
 //
 // expand_grid() cartesian-expands the axes (declaration order; the last
-// axis varies fastest), materialises each cell by setting the axis values
-// into the base document, and re-parses every cell through the strict
-// schema binding — so a typo'd axis path ("scenario.nn") dies with the same
+// axis varies fastest). It reads the base document through the strict
+// schema binding once, with every axis path removed, and then reads each
+// cell's bindings, as a document of their own, onto a copy of that typed
+// base — so a typo'd axis path ("scenario.nn") dies with the same
 // path-qualified ConfigError an inline typo would.
 #pragma once
 
@@ -70,8 +71,12 @@ ScenarioFile parse_scenario(const std::string& text);
 /// Expands the scenario into concrete cells. `overrides` (from `--set`)
 /// are applied to the base document first; an override whose path exactly
 /// matches a sweep axis removes that axis (the grid collapses along it).
-/// Every cell is validated through experiment_from_json. Throws
-/// ConfigError, including on grids above 10_000 cells.
+/// Each cell's config is the one experiment_from_json gives for the base
+/// document with that cell's axis values set into it (an axis value
+/// replaces the subtree at its path), and the grids it rejects are the
+/// ones that whole-document parse rejects. Where a grid holds more than
+/// one error, the one reported may differ: the base is checked before any
+/// cell. Throws ConfigError, including on grids above 10_000 cells.
 std::vector<SweepCell> expand_grid(const ScenarioFile& scenario,
                                    const std::vector<Override>& overrides = {});
 

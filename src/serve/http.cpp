@@ -9,9 +9,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <stdexcept>
+#include <system_error>
 
 #include "util/json.hpp"
 
@@ -151,6 +152,14 @@ bool parse_http_request(const std::string& raw, HttpRequest& out,
   return true;
 }
 
+std::optional<std::size_t> parse_content_length(std::string_view text) {
+  std::size_t n = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return n;
+}
+
 std::string render_http_response(const HttpResponse& r) {
   std::string out = "HTTP/1.1 " + std::to_string(r.status) + " " +
                     http_status_text(r.status) + "\r\n";
@@ -241,19 +250,18 @@ void HttpServer::handle_connection(int fd) {
   if (ok) {
     const auto it = req.headers.find("content-length");
     if (it != req.headers.end()) {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(it->second.c_str(), &end, 10);
-      if (end == it->second.c_str() || *end != '\0') {
+      const std::optional<std::size_t> n = parse_content_length(it->second);
+      if (!n) {
         ok = false;
         parse_error = "bad Content-Length";
-      } else if (n > kMaxBodyBytes) {
+      } else if (*n > kMaxBodyBytes) {
         resp.status = 413;
         resp.body = R"({"error":"request body too large"})";
         send_all(fd, render_http_response(resp));
         ::close(fd);
         return;
       } else {
-        content_length = static_cast<std::size_t>(n);
+        content_length = *n;
       }
     }
   }

@@ -10,7 +10,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "util/thread_pool.hpp"
@@ -46,6 +48,10 @@ std::map<std::string, std::string> parse_query(const std::string& text);
 /// `error` on malformed framing. Exposed for tests.
 bool parse_http_request(const std::string& raw, HttpRequest& out,
                         std::string* error = nullptr);
+
+/// The value of a Content-Length header: base-10 digits only (no sign, no
+/// space) that fit a size_t. nullopt for anything else.
+std::optional<std::size_t> parse_content_length(std::string_view text);
 
 /// Serializes status line + headers (Content-Type/Length, close) + body.
 std::string render_http_response(const HttpResponse& r);

@@ -49,7 +49,8 @@ class JsonWriter {
   void null();
   /// Splices `json` into the output verbatim (with any needed comma). The
   /// caller guarantees it is a complete, valid JSON value — used to embed a
-  /// previously emitted document (e.g. a baseline BENCH file) unparsed.
+  /// previously emitted document (e.g. a baseline BENCH file) unparsed —
+  /// or, inside an object, a run of complete `"key":value` members.
   void raw_value(const std::string& json);
 
   const std::string& str() const noexcept { return out_; }

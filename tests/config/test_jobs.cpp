@@ -38,6 +38,16 @@ SweepCell tiny_cell(const std::string& protocol = "leach") {
   return expand_grid(s).at(0);
 }
 
+/// A cell that keeps a worker busy for seconds; cancel() ends it after the
+/// seed in progress.
+SweepCell long_cell() {
+  return expand_grid(parse_scenario(R"({
+    "scenario": {"n": 200},
+    "sim": {"rounds": 50},
+    "seeds": 1000
+  })")).at(0);
+}
+
 std::string fresh_dir(const char* name) {
   const std::string dir = std::string(::testing::TempDir()) + name;
   std::filesystem::remove_all(dir);
@@ -251,6 +261,31 @@ TEST(JobRunner, SubmitAfterCompletionHitsTheStore) {
   EXPECT_EQ(runner.stats().cache_hits, 1u);
 }
 
+TEST(JobRunner, StoredKeyIsAnsweredAtSubmitPastABusyWorker) {
+  ResultStore store;
+  const JobSpec stored = plan_cell(tiny_cell());
+  const CellResult simulated = run_cell(tiny_cell());
+  store.insert(stored.key, simulated);
+  JobRunnerOptions opts;
+  opts.workers = 1;
+  opts.store = &store;
+  JobRunner runner(opts);
+  JobHandle busy = runner.submit(plan_cell(long_cell()));
+  while (busy.state() == JobState::kQueued) std::this_thread::yield();
+
+  JobHandle hit = runner.submit(stored);
+  EXPECT_EQ(hit.state(), JobState::kDone);
+  EXPECT_TRUE(hit.from_cache());
+  EXPECT_EQ(hit.key(), stored.key);
+  EXPECT_EQ(busy.state(), JobState::kRunning);
+  const JobRunner::Stats st = runner.stats();
+  EXPECT_EQ(st.submitted, 2u);
+  EXPECT_EQ(st.cache_hits, 1u);
+  EXPECT_EQ(st.simulated, 0u);
+  EXPECT_EQ(hit.await().digests, simulated.digests);
+  busy.cancel();
+}
+
 TEST(JobRunner, PriorityOrdersTheQueue) {
   // One worker, occupied by a first job; then a low- and a high-priority
   // job. The high one must run (and finish) before the low one.
@@ -437,6 +472,87 @@ TEST(GoldenReplay, CachedReplayServesCommittedDigests) {
   }
   EXPECT_EQ(replay.stats().simulated, 0u);
   EXPECT_EQ(replay.stats().cache_hits, cells.size());
+}
+
+// ---- Stored cell bytes ----
+//
+// The memory tier keeps each result's key-determined members rendered
+// (CellResult::keyed_json), and manifests splice them in. Whatever path a
+// cell takes, its manifest must equal a render with no cache at all.
+
+TEST(StoredCellBytes, ManifestsEqualACachelessRender) {
+  const std::vector<SweepCell> cells = expand_grid(parse_scenario(R"({
+    "scenario": {"n": 40},
+    "sim": {"rounds": 4, "slots_per_round": 5, "trace": {"record": true}},
+    "seeds": 2,
+    "base_seed": 11,
+    "sweep": {"protocol.name": ["leach", "qlec", "deec"]}
+  })"));
+  const std::vector<JobSpec> specs = plan(cells);
+  RunManifest fresh;
+  fresh.name = "stored-bytes";
+  fresh.description = "N=40";
+  for (const SweepCell& cell : cells) fresh.cells.push_back(run_cell(cell));
+  const std::string want = manifest_to_json(fresh);
+
+  const auto submit_all = [&specs](JobRunner& runner) {
+    std::vector<JobHandle> handles;
+    for (const JobSpec& spec : specs) handles.push_back(runner.submit(spec));
+    return handles;
+  };
+  const auto manifest_of = [&fresh](const std::vector<JobHandle>& handles) {
+    RunManifest m;
+    m.name = fresh.name;
+    m.description = fresh.description;
+    for (const JobHandle& h : handles) m.cells.push_back(h.await());
+    return manifest_to_json(m);
+  };
+
+  const std::string dir = fresh_dir("qlec_stored_bytes");
+  {
+    ResultStore store(dir);
+    JobRunnerOptions opts;
+    opts.workers = 1;
+    opts.store = &store;
+    JobRunner runner(opts);
+    // While the only worker is busy, the grid queues (misses) and a second
+    // submission of it coalesces onto the queued jobs.
+    JobHandle busy = runner.submit(plan_cell(long_cell()), 10);
+    const std::vector<JobHandle> miss = submit_all(runner);
+    const std::vector<JobHandle> coalesced = submit_all(runner);
+    busy.cancel();
+    EXPECT_EQ(manifest_of(miss), want);
+    EXPECT_EQ(manifest_of(coalesced), want);
+    EXPECT_EQ(runner.stats().coalesced, specs.size());
+
+    const std::vector<JobHandle> memory_hit = submit_all(runner);
+    for (const JobHandle& h : memory_hit) {
+      EXPECT_TRUE(h.from_cache());
+      EXPECT_NE(h.await().keyed_json, nullptr);
+    }
+    EXPECT_EQ(manifest_of(memory_hit), want);
+    EXPECT_EQ(runner.stats().cache_hits, specs.size());
+    EXPECT_EQ(store.stats().disk_hits, 0u);
+  }
+
+  ResultStore warmed(dir);
+  JobRunnerOptions opts;
+  opts.store = &warmed;
+  JobRunner runner(opts);
+  const std::vector<JobHandle> disk_hit = submit_all(runner);
+  EXPECT_EQ(manifest_of(disk_hit), want);
+  EXPECT_EQ(runner.stats().cache_hits, specs.size());
+  EXPECT_EQ(warmed.stats().disk_hits, specs.size());
+
+  // A cell record is the same bytes spliced or rendered, on disk too.
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::string record =
+        cell_record_to_json(fresh.cells[i], specs[i].key, kCodeVersion);
+    EXPECT_EQ(cell_record_to_json(disk_hit[i].await(), specs[i].key,
+                                  kCodeVersion),
+              record);
+    EXPECT_EQ(read_text_file(dir + "/" + specs[i].key + ".json"), record);
+  }
 }
 
 // ---- The bytes that address the cache ----

@@ -4,7 +4,11 @@
 // deduplication — all over a real loopback socket on an ephemeral port.
 #include "serve/service.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <string>
 #include <thread>
@@ -113,6 +117,52 @@ TEST(HttpParsing, StatusLineIsStrict) {
         "HTTP/1.1  200 OK", "HTTP/2.0 200 OK", "HTTP/1.x 200 OK",
         "http/1.1 200 OK", "HTTP/1.1 +20 OK", ""})
     EXPECT_EQ(parse_status_line(bad), std::nullopt) << bad;
+}
+
+/// Sends `raw` to a loopback server as is and returns the reply's status
+/// line.
+std::string raw_status_line(std::uint16_t port, const std::string& raw) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  std::string reply;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
+      ::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(raw.size())) {
+    char buf[512];
+    for (ssize_t n; (n = ::recv(fd, buf, sizeof buf, 0)) > 0;)
+      reply.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return reply.substr(0, reply.find("\r\n"));
+}
+
+TEST(HttpParsing, ContentLengthIsStrict) {
+  EXPECT_EQ(parse_content_length("0"), 0u);
+  EXPECT_EQ(parse_content_length("5"), 5u);
+  EXPECT_EQ(parse_content_length("0016777216"), 16777216u);
+  EXPECT_EQ(parse_content_length("18446744073709551615"),
+            std::size_t{18446744073709551615ULL});
+  for (const char* bad :
+       {"", "+5", "-1", "-0", " 5", "5 ", "5x", "0x10", "1e3", "5.0",
+        "18446744073709551616", "99999999999999999999999"})
+    EXPECT_EQ(parse_content_length(bad), std::nullopt) << bad;
+
+  // On the wire: a signed or overflowing length is a 400, not a 413.
+  HttpServer server("127.0.0.1", 0, [](const HttpRequest&, HttpResponse&) {});
+  for (const char* bad : {"-1", "+5", "18446744073709551616"})
+    EXPECT_EQ(raw_status_line(server.port(),
+                              std::string("POST / HTTP/1.1\r\n"
+                                          "Content-Length: ") +
+                                  bad + "\r\n\r\n"),
+              "HTTP/1.1 400 Bad Request")
+        << bad;
+  EXPECT_EQ(raw_status_line(server.port(),
+                            "POST / HTTP/1.1\r\nContent-Length: 16777217"
+                            "\r\n\r\n"),
+            "HTTP/1.1 413 Payload Too Large");
 }
 
 TEST(HttpClient, OutOfRangeStatusIsAMalformedResponse) {
