@@ -4,10 +4,13 @@
 // committed tests/golden/world_*.digest files bit-for-bit. Alongside them,
 // the library-wide parse sweep and the env-neutrality guard: enabling an
 // empty environment on the frozen golden scenario must leave every
-// committed per-protocol digest untouched.
+// committed per-protocol digest untouched. MacGolden pins the MAC-enabled
+// trajectories the same way: the contention scenario's 24 cells, half of
+// them through the slotted-CSMA engine (DESIGN.md §14), must reproduce
+// tests/golden/mac_validation.digest.
 //
 // Regenerate after an intentional model change with
-//   QLEC_REGEN_GOLDEN=1 ctest -R WorldGolden
+//   QLEC_REGEN_GOLDEN=1 ctest -R 'WorldGolden|MacGolden'
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -84,6 +87,40 @@ TEST(WorldGolden, PinnedWorldsMatchCommittedDigests) {
         << "QLEC_REGEN_GOLDEN=1 and commit tests/golden/world_" << stem
         << ".digest.";
   }
+}
+
+TEST(MacGolden, ContentionScenarioMatchesCommittedDigests) {
+  // The file qlec_run --expect-digests reads in CI mac-smoke, in the
+  // format qlec_run --digest prints.
+  const std::string golden_path =
+      std::string(QLEC_GOLDEN_DIR) + "/mac_validation.digest";
+  const auto text = read_text_file(std::string(QLEC_SCENARIO_DIR) +
+                                   "/mac_validation.json");
+  ASSERT_TRUE(text.has_value());
+  auto cells = expand_grid(parse_scenario(*text));
+  for (SweepCell& c : cells) c.config.sim.trace.record = true;
+  const RunManifest m = run_grid(cells);
+  ASSERT_EQ(m.cells.size(), 24u);
+  EXPECT_TRUE(std::any_of(m.cells.begin(), m.cells.end(),
+                          [](const CellResult& c) {
+                            return c.config.sim.mac.enabled;
+                          }));
+
+  if (env::regen_golden()) {
+    std::ofstream(golden_path) << manifest_digest_lines(m);
+    return;
+  }
+  std::vector<std::string> digests;
+  for (const CellResult& c : m.cells)
+    digests.insert(digests.end(), c.digests.begin(), c.digests.end());
+  const std::vector<std::string> golden = read_digest_lines(golden_path);
+  ASSERT_FALSE(golden.empty())
+      << "missing " << golden_path
+      << " — run with QLEC_REGEN_GOLDEN=1 to (re)generate";
+  EXPECT_EQ(digests, golden)
+      << "the contention scenario diverged from its committed digests. If "
+      << "the model change is intentional, regenerate with "
+      << "QLEC_REGEN_GOLDEN=1 and commit tests/golden/mac_validation.digest.";
 }
 
 TEST(WorldGolden, WholeWorldLibraryParsesAndExpands) {
