@@ -8,7 +8,8 @@
 //
 // Environment knobs:
 //   QLEC_BENCH_SEEDS=<n>  replications per point (default 5)
-//   QLEC_BENCH_FAST=1     shrink the runs for the CI mac-smoke job
+//   QLEC_BENCH_FAST=1     shrink the runs for a quick check (the committed
+//                         BENCH_mac.json is the full run)
 #include <cstdio>
 #include <fstream>
 #include <string>

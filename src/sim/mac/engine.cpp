@@ -1,9 +1,8 @@
 #include "sim/mac/engine.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-
-#include "geom/spatial_grid.hpp"
+#include <cmath>
+#include <functional>
 
 namespace qlec {
 
@@ -61,6 +60,38 @@ double rx_power(const Vec3& tx, const Vec3& rx) noexcept {
   return 1.0 / (d * d);
 }
 
+/// Carrier-sense reach `r` > 0: which senders are heard at a point.
+/// Membership is exactly that of a SpatialGrid with cell side `r` queried
+/// at radius `r`: the distance test, and the sender's cell inside the query
+/// box [cell(c - r), cell(c + r)]. The distance test comes first; it
+/// rejects nearly every candidate, and the box only decides float edge
+/// cases.
+class Reach {
+ public:
+  explicit Reach(double r) : r_(r), r2_(r * r) {}
+
+  long long cell(double v) const noexcept {
+    return static_cast<long long>(std::floor(v / r_));
+  }
+
+  bool heard(const Vec3& p, const Vec3& c) const noexcept {
+    if (!(distance2(p, c) <= r2_)) return false;
+    const Vec3 lo = c - Vec3{r_, r_, r_};
+    const Vec3 hi = c + Vec3{r_, r_, r_};
+    return in_box(p.x, lo.x, hi.x) && in_box(p.y, lo.y, hi.y) &&
+           in_box(p.z, lo.z, hi.z);
+  }
+
+ private:
+  bool in_box(double v, double lo, double hi) const noexcept {
+    const long long k = cell(v);
+    return cell(lo) <= k && k <= cell(hi);
+  }
+
+  double r_;
+  double r2_;
+};
+
 }  // namespace
 
 std::int64_t MacEngine::cw(int retry) const noexcept {
@@ -71,18 +102,25 @@ std::int64_t MacEngine::cw(int retry) const noexcept {
   return std::min<std::int64_t>(w, cfg_.cw_max);
 }
 
-void MacEngine::push(EventHeap& heap, std::int64_t t, int kind,
-                     std::uint32_t idx) {
-  heap.push(Event{t, kind, seq_++, idx});
+void MacEngine::push(std::int64_t t, int kind, std::uint32_t idx) {
+  events_.push_back(Event{t, kind, seq_++, idx});
+  std::push_heap(events_.begin(), events_.end(), std::greater<>{});
 }
 
-void MacEngine::schedule_backoff(EventHeap& heap, std::uint32_t i,
-                                 std::int64_t t, int retry) {
+MacEngine::Event MacEngine::pop() {
+  std::pop_heap(events_.begin(), events_.end(), std::greater<>{});
+  const Event ev = events_.back();
+  events_.pop_back();
+  return ev;
+}
+
+void MacEngine::schedule_backoff(std::uint32_t i, std::int64_t t,
+                                 int retry) {
   const std::int64_t delay =
       1 + static_cast<std::int64_t>(
               rng_.uniform_int(static_cast<std::uint64_t>(cw(retry))));
   totals_.backoff_subslots += static_cast<std::uint64_t>(delay);
-  push(heap, t + delay, /*kind=*/1, i);
+  push(t + delay, /*kind=*/1, i);
 }
 
 void MacEngine::resolve(std::vector<MacFrame>& frames, MacHost& host) {
@@ -90,42 +128,41 @@ void MacEngine::resolve(std::vector<MacFrame>& frames, MacHost& host) {
   if (frames.empty()) return;
   const std::size_t m = frames.size();
   const std::int64_t air = cfg_.airtime_subslots;
+  const Reach reach(cfg_.cca_range);
 
   retries_.assign(m, 0);
-  in_flight_.assign(m, 0);
   next_of_src_.assign(m, -1);
-  if (intervals_.size() < m) intervals_.resize(m);
-  for (std::size_t i = 0; i < m; ++i) intervals_[i].clear();
-  sender_pos_.clear();
-  sender_pos_.reserve(m);
-  for (const MacFrame& f : frames) sender_pos_.push_back(f.src_pos);
-  const SpatialGrid grid(sender_pos_, cfg_.cca_range);
+  on_air_.clear();
+  air_log_.clear();
+  std::size_t log_lo = 0;  ///< air_log_[0, log_lo) overlaps no later end
 
   // A radio transmits one frame at a time: frames sharing a sender form a
   // FIFO chain in batch order, and only the chain head contends.
-  std::vector<std::uint32_t> chain_heads;
-  {
-    std::unordered_map<int, std::uint32_t> last_of;
-    for (std::uint32_t i = 0; i < m; ++i) {
-      const auto [it, fresh] = last_of.try_emplace(frames[i].src, i);
-      if (fresh) {
-        chain_heads.push_back(i);
-      } else {
-        next_of_src_[it->second] = static_cast<std::int32_t>(i);
-        it->second = i;
-      }
+  chain_heads_.clear();
+  for (std::uint32_t i = 0; i < m; ++i) {
+    const auto src = static_cast<std::size_t>(frames[i].src);
+    if (src >= last_of_src_.size()) last_of_src_.resize(src + 1, -1);
+    std::int32_t& last = last_of_src_[src];
+    if (last < 0) {
+      chain_heads_.push_back(i);
+    } else {
+      next_of_src_[static_cast<std::size_t>(last)] =
+          static_cast<std::int32_t>(i);
     }
+    last = static_cast<std::int32_t>(i);
   }
+  for (const MacFrame& f : frames)
+    last_of_src_[static_cast<std::size_t>(f.src)] = -1;
 
-  EventHeap heap;
+  events_.clear();
   seq_ = 0;
   // Initial contention-window randomization, drawn in batch order so the
   // stream consumption is a pure function of the batch.
-  for (const std::uint32_t i : chain_heads) {
+  for (const std::uint32_t i : chain_heads_) {
     const std::int64_t t0 = static_cast<std::int64_t>(
         rng_.uniform_int(static_cast<std::uint64_t>(cw(0))));
     totals_.backoff_subslots += static_cast<std::uint64_t>(t0);
-    push(heap, t0, /*kind=*/1, i);
+    push(t0, /*kind=*/1, i);
   }
 
   std::int64_t horizon = 0;
@@ -139,7 +176,7 @@ void MacEngine::resolve(std::vector<MacFrame>& frames, MacHost& host) {
           static_cast<std::int64_t>(
               rng_.uniform_int(static_cast<std::uint64_t>(cw(0))));
       totals_.backoff_subslots += static_cast<std::uint64_t>(t0 - t - 1);
-      push(heap, t0, /*kind=*/1, static_cast<std::uint32_t>(next));
+      push(t0, /*kind=*/1, static_cast<std::uint32_t>(next));
     }
   };
   const auto drop = [&](std::uint32_t i, MacLossCause cause, std::int64_t t) {
@@ -163,13 +200,12 @@ void MacEngine::resolve(std::vector<MacFrame>& frames, MacHost& host) {
     if (++retries_[i] > cfg_.max_retries) {
       drop(i, cause, t);
     } else {
-      schedule_backoff(heap, i, t, retries_[i]);
+      schedule_backoff(i, t, retries_[i]);
     }
   };
 
-  while (!heap.empty()) {
-    const Event ev = heap.top();
-    heap.pop();
+  while (!events_.empty()) {
+    const Event ev = pop();
     horizon = std::max(horizon, ev.t);
     const std::uint32_t i = ev.idx;
     MacFrame& f = frames[i];
@@ -181,15 +217,11 @@ void MacEngine::resolve(std::vector<MacFrame>& frames, MacHost& host) {
         drop(i, MacLossCause::kSenderDown, ev.t);
         continue;
       }
-      // CCA: defer while any in-flight sender is audible at this sender.
-      bool busy = false;
-      grid.query_into(f.src_pos, cfg_.cca_range, query_scratch_);
-      for (const std::size_t j : query_scratch_) {
-        if (j != i && in_flight_[j] != 0) {
-          busy = true;
-          break;
-        }
-      }
+      // CCA: defer while any on-air sender is audible at this sender.
+      const bool busy =
+          std::any_of(on_air_.begin(), on_air_.end(), [&](std::uint32_t j) {
+            return j != i && reach.heard(frames[j].src_pos, f.src_pos);
+          });
       if (busy) {
         ++totals_.cca_busy;
         if (++retries_[i] > cfg_.max_retries) {
@@ -198,7 +230,7 @@ void MacEngine::resolve(std::vector<MacFrame>& frames, MacHost& host) {
           host.on_feedback(f, false);
           drop(i, MacLossCause::kCollision, ev.t);
         } else {
-          schedule_backoff(heap, i, ev.t, retries_[i]);
+          schedule_backoff(i, ev.t, retries_[i]);
         }
         continue;
       }
@@ -206,14 +238,15 @@ void MacEngine::resolve(std::vector<MacFrame>& frames, MacHost& host) {
       if (f.attempts > 0) ++totals_.retransmits;
       host.on_attempt(f, f.attempts);
       ++f.attempts;
-      in_flight_[i] = 1;
-      intervals_[i].emplace_back(ev.t, ev.t + air);
-      push(heap, ev.t + air, /*kind=*/0, i);
+      on_air_.push_back(i);
+      air_log_.push_back(Airing{ev.t, i});
+      push(ev.t + air, /*kind=*/0, i);
       continue;
     }
 
     // Frame end: resolve the reception.
-    in_flight_[i] = 0;
+    *std::find(on_air_.begin(), on_air_.end(), i) = on_air_.back();
+    on_air_.pop_back();
     const std::int64_t start = ev.t - air;
     if (!host.target_listening(f)) {
       // Mirrors the ideal path's down-receiver semantics: no channel draw —
@@ -221,16 +254,30 @@ void MacEngine::resolve(std::vector<MacFrame>& frames, MacHost& host) {
       nack(i, MacLossCause::kTargetDown, ev.t);
       continue;
     }
-    // Receiver-side interference: every overlapping on-air interval whose
-    // sender is audible at this frame's receiver contributes power.
-    double interference = 0.0;
-    grid.query_into(f.dst_pos, cfg_.cca_range, query_scratch_);
-    for (const std::size_t j : query_scratch_) {
-      if (j == i) continue;
-      const double pw = rx_power(frames[j].src_pos, f.dst_pos);
-      for (const auto& [a, b] : intervals_[j])
-        if (a < ev.t && b > start) interference += pw;
+    // Receiver-side interference: every other attempt whose airtime
+    // overlaps [start, t) and whose sender is audible at this frame's
+    // receiver contributes power. Frame ends pop in time order, so the
+    // attempts that started at or before t - 2·air never overlap again.
+    while (log_lo < air_log_.size() &&
+           air_log_[log_lo].start + 2 * air <= ev.t)
+      ++log_lo;
+    contributors_.clear();
+    for (std::size_t k = log_lo;
+         k < air_log_.size() && air_log_[k].start < ev.t; ++k) {
+      const auto [a, j] = air_log_[k];
+      if (j == i || a + air <= start) continue;
+      const Vec3& p = frames[j].src_pos;
+      if (!reach.heard(p, f.dst_pos)) continue;
+      contributors_.push_back(
+          Contributor{reach.cell(p.x), reach.cell(p.y), reach.cell(p.z), j});
     }
+    // Sum in (cell, frame) order, one term per overlapping attempt: the
+    // order a grid walk over the phase's senders would add them in, which
+    // keeps the capture comparison bit-stable.
+    std::sort(contributors_.begin(), contributors_.end());
+    double interference = 0.0;
+    for (const Contributor& c : contributors_)
+      interference += rx_power(frames[c.idx].src_pos, f.dst_pos);
     if (interference > 0.0) {
       const double signal = rx_power(f.src_pos, f.dst_pos);
       if (signal >= cfg_.capture_ratio * interference) {

@@ -1,12 +1,12 @@
 // Deterministic slotted-CSMA contention engine (DESIGN.md §14). The
 // simulator batches one sim-slot's transmissions into a "contention phase"
 // of MacFrames and calls resolve(): the engine plays them out on a micro-
-// slot event timeline — carrier sense within `cca_range` via a SpatialGrid
-// over the phase's sender positions, capture-threshold interference at each
-// receiver, binary-exponential backoff between retransmissions — and hands
-// every side effect (energy charges, queue pushes, ACK/NACK protocol
-// feedback, loss accounting) back through the MacHost callbacks so the
-// engine itself owns no simulation state.
+// slot event timeline — carrier sense within `cca_range` against the frames
+// on the air, capture-threshold interference at each receiver from the
+// attempts whose airtime overlaps, binary-exponential backoff between
+// retransmissions — and hands every side effect (energy charges, queue
+// pushes, ACK/NACK protocol feedback, loss accounting) back through the
+// MacHost callbacks so the engine itself owns no simulation state.
 //
 // Determinism contract: the engine draws only from its own private Rng
 // stream, in event-processing order, and the event queue is totally ordered
@@ -16,9 +16,8 @@
 // is what keeps MAC-enabled digests invariant to ExecPolicy.
 #pragma once
 
+#include <compare>
 #include <cstdint>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "geom/vec3.hpp"
@@ -44,7 +43,7 @@ const char* mac_loss_cause_name(MacLossCause c) noexcept;
 /// will be attempted up to 1 + max_retries times toward a fixed target.
 /// The caller fills the routing/energy fields; the engine fills the outcome.
 struct MacFrame {
-  int src = -1;
+  int src = -1;  ///< sending node id (>= 0)
   int target = kBaseStationId;
   /// Caller-side payload index (packet slot, uplink-chain slot, ...).
   std::uint32_t tag = 0;
@@ -109,13 +108,11 @@ class MacEngine {
       return a.seq > b.seq;
     }
   };
-  using EventHeap =
-      std::priority_queue<Event, std::vector<Event>, std::greater<Event>>;
 
   std::int64_t cw(int retry) const noexcept;
-  void push(EventHeap& heap, std::int64_t t, int kind, std::uint32_t idx);
-  void schedule_backoff(EventHeap& heap, std::uint32_t i, std::int64_t t,
-                        int retry);
+  void push(std::int64_t t, int kind, std::uint32_t idx);
+  Event pop();
+  void schedule_backoff(std::uint32_t i, std::int64_t t, int retry);
 
   const MacConfig cfg_;
   Rng rng_;  ///< private stream; persists across phases within one run
@@ -123,15 +120,30 @@ class MacEngine {
   std::int64_t last_subslots_ = 0;
   std::uint64_t seq_ = 0;
 
+  /// One attempt put on the air: frame `idx` occupies [start, start + air).
+  struct Airing {
+    std::int64_t start = 0;
+    std::uint32_t idx = 0;
+  };
+  /// An interferer at a receiver, keyed in the order its power is summed.
+  struct Contributor {
+    long long cx = 0, cy = 0, cz = 0;  ///< the sender's carrier-sense cell
+    std::uint32_t idx = 0;
+    friend auto operator<=>(const Contributor&,
+                            const Contributor&) = default;
+  };
+
   // Per-phase scratch (grow-only; reused across phases).
+  std::vector<Event> events_;  ///< binary min-heap on (t, kind, seq)
   std::vector<int> retries_;
-  std::vector<std::uint8_t> in_flight_;
   std::vector<std::int32_t> next_of_src_;  ///< same-sender FIFO chains
-  /// Every on-air interval per frame, for receiver-side overlap checks
-  /// (bounded by 1 + max_retries entries each).
-  std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> intervals_;
-  std::vector<Vec3> sender_pos_;
-  std::vector<std::size_t> query_scratch_;
+  std::vector<std::uint32_t> chain_heads_;
+  /// Last frame seen per sender id while chaining; all -1 between phases.
+  std::vector<std::int32_t> last_of_src_;
+  std::vector<std::uint32_t> on_air_;      ///< frames on the air now
+  /// Every attempt of the phase in start order (events pop in time order).
+  std::vector<Airing> air_log_;
+  std::vector<Contributor> contributors_;
 };
 
 }  // namespace qlec
