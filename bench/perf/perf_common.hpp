@@ -1,18 +1,14 @@
-// Shared machinery for the hot-path microbenchmarks under bench/perf/:
-// warmup + repeated timing, order statistics over the samples, and the
-// machine-readable BENCH_*.json emission contract (see EXPERIMENTS.md §perf).
+// Timing machinery for bench/perf/perf_scaling: warmup + repeated timing,
+// order statistics over the samples, and the machine-readable BENCH_*.json
+// emission contract (see EXPERIMENTS.md §perf).
 //
-// Environment knobs (util/env.hpp):
+// Environment knob (util/env.hpp):
 //   QLEC_BENCH_FAST=1        shrink cases for the CI perf-smoke job
-//   QLEC_PERF_REPEATS=<n>    timed repetitions per case
-//   QLEC_PERF_BASELINE=<p>   previously emitted BENCH_scaling.json to embed
 #pragma once
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -124,10 +120,9 @@ inline void write_case(JsonWriter& j, const CaseResult& c) {
 }
 
 /// Emits the common BENCH document frame: {"bench": name, "fast": bool,
-/// "cases": [...]} plus an optional verbatim-embedded baseline document.
+/// "cases": [...]}.
 inline void write_bench_file(const std::string& path, const std::string& name,
-                             const std::vector<CaseResult>& cases,
-                             const std::string& baseline_json = {}) {
+                             const std::vector<CaseResult>& cases) {
   JsonWriter j;
   j.begin_object();
   j.key("bench"); j.value(name);
@@ -136,42 +131,9 @@ inline void write_bench_file(const std::string& path, const std::string& name,
   j.begin_array();
   for (const CaseResult& c : cases) write_case(j, c);
   j.end_array();
-  j.key("baseline");
-  if (baseline_json.empty()) {
-    j.null();
-  } else {
-    j.raw_value(baseline_json);
-  }
   j.end_object();
   std::ofstream out(path);
   out << j.str() << "\n";
-}
-
-/// Reads a whole file (the QLEC_PERF_BASELINE embed); empty on failure.
-inline std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  std::string s = ss.str();
-  while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) s.pop_back();
-  return s;
-}
-
-/// `field` of the case object for node count `n` in the top-level "cases"
-/// array of a previously emitted BENCH document. Returns NaN when there is
-/// no such case or field.
-inline double baseline_field(const JsonValue& doc, std::size_t n,
-                             const std::string& field) {
-  const JsonValue* cases = doc.get("cases");
-  if (cases == nullptr) return std::nan("");
-  for (const JsonValue& c : cases->items()) {
-    const JsonValue* cn = c.get("n");
-    if (cn == nullptr || cn->as_double() != static_cast<double>(n)) continue;
-    const JsonValue* f = c.get(field);
-    return f != nullptr && f->is_number() ? f->as_double() : std::nan("");
-  }
-  return std::nan("");
 }
 
 }  // namespace qlec::perf

@@ -1,10 +1,6 @@
 // Node-count scaling sweep for the QLEC hot path: density-fixed deployments
 // from N = 100 to N = 1M, reporting rounds/sec, packets/sec, and the peak
-// memory footprint per size. Emits BENCH_scaling.json; when
-// QLEC_PERF_BASELINE points at a previously emitted file, it is embedded
-// verbatim under "baseline" and per-N speedups are reported, which is how
-// the committed pre-/post-optimization comparison is produced (see
-// EXPERIMENTS.md).
+// memory footprint per size. Emits BENCH_scaling.json (see EXPERIMENTS.md).
 #include <cmath>
 #include <cstdio>
 
@@ -18,8 +14,7 @@ namespace {
 /// timed repetitions after an untimed warmup, since a single sample there
 /// swings by up to ~2x on a shared host. Only N = 1M times one repetition
 /// and skips the warmup (one repetition is ~20 s of work); its case is
-/// marked "single_sample" in the JSON. QLEC_PERF_REPEATS overrides the
-/// count (warmup stays per policy).
+/// marked "single_sample" in the JSON.
 struct RepeatsPolicy {
   std::size_t repeats;
   bool warmup;
@@ -62,12 +57,10 @@ int main() {
     cfg.seeds = 1;
     cfg.protocol.qlec.total_rounds = cfg.sim.rounds;
 
-    const RepeatsPolicy policy = repeats_policy(n, fast);
-    const std::size_t repeats = env::perf_repeats(policy.repeats);
-    if (repeats < 5 || !policy.warmup)
+    const auto [repeats, warmup] = repeats_policy(n, fast);
+    if (repeats < 5 || !warmup)
       std::printf("  [N=%zu: %zu timed repetition%s%s]\n", n, repeats,
-                  repeats == 1 ? "" : "s",
-                  policy.warmup ? "" : ", warmup skipped");
+                  repeats == 1 ? "" : "s", warmup ? "" : ", warmup skipped");
     perf::CaseResult c;
     c.name = "qlec";
     c.n = n;
@@ -83,7 +76,7 @@ int main() {
           c.rounds = rounds;
           c.packets = packets;
         },
-        policy.warmup);
+        warmup);
     // Cases run in ascending-N order, so the process high-water mark after
     // a case is that case's peak footprint.
     c.peak_rss = perf::peak_rss_bytes();
@@ -96,20 +89,7 @@ int main() {
     cases.push_back(c);
   }
 
-  const std::string baseline = perf::slurp(env::perf_baseline());
-  if (!baseline.empty()) {
-    std::printf("\nspeedup vs baseline (%s):\n", env::perf_baseline().c_str());
-    const JsonValue doc = parse_json(baseline).value_or(JsonValue{});
-    for (const perf::CaseResult& c : cases) {
-      const double base = perf::baseline_field(doc, c.n, "rounds_per_sec");
-      if (std::isnan(base) || base <= 0.0) continue;
-      std::printf("  N=%-7zu %.2fx rounds/sec\n", c.n,
-                  c.rounds_per_sec() / base);
-    }
-  }
-
-  perf::write_bench_file("BENCH_scaling.json", "perf_scaling", cases,
-                         baseline);
+  perf::write_bench_file("BENCH_scaling.json", "perf_scaling", cases);
   std::printf("\nwrote BENCH_scaling.json\n");
   return 0;
 }

@@ -7,7 +7,6 @@
 // Environment knobs:
 //   QLEC_BENCH_SEEDS=<n>      replications per point (default 5)
 //   QLEC_BENCH_FAST=1         shrink the runs for the CI perf-smoke job
-//   QLEC_FAULT_INTENSITY=<x>  extra multiplier on every hazard rate
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -33,10 +32,10 @@ std::vector<Intensity> intensity_sweep() {
   return {{"none", 0.0}, {"light", 0.5}, {"moderate", 1.0}, {"severe", 2.0}};
 }
 
-/// The base (scale = 1) fault environment layered onto the §5.1 scenario.
-FaultConfig fault_config(double scale) {
+/// The base fault environment layered onto the §5.1 scenario, every hazard
+/// rate scaled by `s` (s = 0 disables faults).
+FaultConfig fault_config(double s) {
   FaultConfig f;
-  const double s = scale * env::fault_intensity();
   f.enabled = s > 0.0;
   f.seed = 0xFA17;
   f.hazards.crash_per_node = 0.004 * s;
@@ -110,7 +109,6 @@ void write_json(const std::string& path, const std::vector<Point>& points) {
   j.begin_object();
   j.key("bench"); j.value(std::string("resilience_sweep"));
   j.key("fast"); j.value(env::bench_fast());
-  j.key("intensity_multiplier"); j.value(env::fault_intensity());
   j.key("points");
   j.begin_array();
   for (const Point& p : points) {

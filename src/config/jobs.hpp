@@ -1,5 +1,5 @@
-// Job-oriented execution layer over the sweep grid (DESIGN.md §13): the
-// blocking run_grid() call decomposes into
+// Job-oriented execution layer over the sweep grid (DESIGN.md §13): a grid
+// run decomposes into
 //
 //   plan()    grid cells -> immutable JobSpecs, each keyed by a digest of
 //             the fully-resolved config echo + kCodeVersion
@@ -10,9 +10,9 @@
 //             this process or any earlier run sharing the store directory —
 //             returns its CellResult without re-simulation
 //
-// run_grid() remains as a thin compatibility wrapper for its callers
-// (world_sweep, the golden and sweep tests); qlec_run, qlec_serve and the
-// perfbench serve_mix workload drive this interface directly.
+// run_grid() (config/runner.hpp) is the synchronous driver over it, used by
+// qlec_run, world_sweep and the tests; qlec_serve and the perfbench
+// serve_mix workload drive this interface directly.
 #pragma once
 
 #include <atomic>

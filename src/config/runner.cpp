@@ -1,6 +1,8 @@
 #include "config/runner.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <thread>
 
 #include "config/jobs.hpp"
 #include "config/reader.hpp"
@@ -213,19 +215,32 @@ CellResult run_cell(const SweepCell& cell, const ExecPolicy& exec,
 }
 
 RunManifest run_grid(const std::vector<SweepCell>& cells,
-                     const ExecPolicy& exec,
+                     const ExecPolicy& exec, ResultStore* store,
                      void (*progress)(const SweepCell&, std::size_t,
                                       std::size_t)) {
   JobRunnerOptions opts;
-  opts.workers = 1;
-  opts.within_cell = exec;
+  opts.store = store;
+  // One level of threads, not jobs²: a pool runs whole cells side by side,
+  // unless there is only one cell to run.
+  if (exec.is_pool() && cells.size() == 1) {
+    opts.within_cell = exec;
+  } else if (exec.is_pool()) {
+    const std::size_t jobs =
+        exec.threads() > 0
+            ? exec.threads()
+            : std::max(1u, std::thread::hardware_concurrency());
+    opts.workers = std::min(jobs, cells.size());
+  }
   JobRunner runner(opts);
+  std::vector<JobHandle> handles;
+  handles.reserve(cells.size());
+  for (const JobSpec& spec : plan(cells))
+    handles.push_back(runner.submit(spec));
   RunManifest m;
   m.cells.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const SweepCell& cell = cells[i];
-    if (progress != nullptr) progress(cell, i, cells.size());
-    m.cells.push_back(runner.submit(plan_cell(cell)).await());
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    m.cells.push_back(handles[i].await());
+    if (progress != nullptr) progress(cells[i], i, cells.size());
   }
   return m;
 }

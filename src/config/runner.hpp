@@ -14,6 +14,8 @@
 
 namespace qlec::config {
 
+class ResultStore;
+
 /// Outcome of one grid cell: the cell identity plus cross-seed aggregates.
 struct CellResult {
   std::vector<Override> bindings;  ///< the axis assignments (sweep order)
@@ -38,16 +40,18 @@ struct RunManifest {
   std::vector<CellResult> cells;
 };
 
-/// Runs every cell (protocol = cell.config.protocol.name) under `exec`.
-/// Replication fan-out is per cell, so any ExecPolicy reproduces the serial
-/// results bit-identically. `progress` (may be null) is invoked with each
-/// cell's label before it runs.
-///
-/// Since the job API landed (config/jobs.hpp) this is a thin compatibility
-/// wrapper: it plans each cell and awaits it on a single-worker JobRunner
-/// with no ResultStore, which is bit-identical to the historical loop.
+/// Runs every cell (protocol = cell.config.protocol.name) on the job layer
+/// (config/jobs.hpp): all cells are planned and submitted up front and
+/// awaited in plan order. Serial runs one cell at a time; a pool over more
+/// than one cell runs min(threads, cells) cells at once, each with its
+/// seeds serial, and a one-cell grid fans its seeds out instead. Every
+/// policy reproduces the serial manifest bit-identically. With a `store`,
+/// a cell whose key it holds replays without simulating and fresh cells
+/// are stored. `progress` (may be null) is invoked with each cell as its
+/// result arrives.
 RunManifest run_grid(const std::vector<SweepCell>& cells,
                      const ExecPolicy& exec = ExecPolicy::serial(),
+                     ResultStore* store = nullptr,
                      void (*progress)(const SweepCell&, std::size_t index,
                                       std::size_t total) = nullptr);
 

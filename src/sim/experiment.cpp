@@ -35,9 +35,7 @@ std::vector<SimResult> run_replications(const std::string& protocol_name,
     }
     results[i] = run_simulation(net, *protocol, cfg.sim, rng);
   };
-  if (cfg.seeds > 1 && exec.is_borrow()) {
-    exec.borrowed()->parallel_for(cfg.seeds, run_one);
-  } else if (cfg.seeds > 1 && exec.is_pool()) {
+  if (cfg.seeds > 1 && exec.is_pool()) {
     ThreadPool local(exec.threads());
     local.parallel_for(cfg.seeds, run_one);
   } else {

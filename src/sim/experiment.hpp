@@ -1,7 +1,7 @@
 // Multi-seed experiment runner: builds a fresh network per seed, runs the
 // named protocol through the simulator, and aggregates the metrics. Seed
-// fan-out is controlled by an ExecPolicy value (serial, internally managed
-// pool, or a caller-owned pool).
+// fan-out is controlled by an ExecPolicy value (serial or an internally
+// managed pool).
 #pragma once
 
 #include <cstdint>
@@ -47,28 +47,16 @@ class ExecPolicy {
     p.threads_ = threads;
     return p;
   }
-  /// Seeds fan out across a caller-owned pool (reusable across many calls;
-  /// the policy only borrows it, so `pool` must outlive the run).
-  static ExecPolicy borrow(ThreadPool& pool) noexcept {
-    ExecPolicy p;
-    p.mode_ = Mode::kBorrow;
-    p.borrowed_ = &pool;
-    return p;
-  }
 
   bool is_serial() const noexcept { return mode_ == Mode::kSerial; }
   bool is_pool() const noexcept { return mode_ == Mode::kPool; }
-  bool is_borrow() const noexcept { return mode_ == Mode::kBorrow; }
   /// Requested pool width (kPool only); 0 = hardware default.
   std::size_t threads() const noexcept { return threads_; }
-  /// The caller-owned pool (kBorrow only), else nullptr.
-  ThreadPool* borrowed() const noexcept { return borrowed_; }
 
  private:
-  enum class Mode { kSerial, kPool, kBorrow };
+  enum class Mode { kSerial, kPool };
   Mode mode_ = Mode::kSerial;
   std::size_t threads_ = 0;
-  ThreadPool* borrowed_ = nullptr;
 };
 
 /// Runs `cfg.seeds` independent replications of `protocol_name` and returns

@@ -371,6 +371,9 @@ class SimRun {
   /// gauges refresh, and one "round_end" event summarizes the round.
   [[gnu::cold]] void emit_round_metrics(int round, std::size_t alive_now,
                                         std::size_t head_ct);
+  /// Advances the sim.packets.* counters to the SimResult totals (once per
+  /// round, and once more after the end-of-run loss tally).
+  [[gnu::cold]] void emit_packet_counters();
 
   /// MAC counter roll-up into the metrics registry (telemetry-attached,
   /// MAC-enabled rounds only). Naming: OBSERVABILITY.md "sim.mac.*".
@@ -655,6 +658,20 @@ void SimRun::emit_round_metrics(int round, std::size_t alive_now,
                                 std::size_t head_ct) {
   obs::MetricsRegistry& m = telemetry_->metrics();
   m.counter("sim.rounds").inc();
+  emit_packet_counters();
+  m.gauge("sim.alive").set(static_cast<double>(alive_now));
+  m.histogram("sim.heads_per_round", 0.0, 64.0, 32)
+      .add(static_cast<double>(head_ct));
+  telemetry_->emit(obs::Event("round_end", round)
+                       .with("alive", alive_now)
+                       .with("heads", head_ct)
+                       .with("residual_j", net_.total_residual_energy())
+                       .with("generated", result_.generated)
+                       .with("delivered", result_.delivered));
+}
+
+void SimRun::emit_packet_counters() {
+  obs::MetricsRegistry& m = telemetry_->metrics();
   m.counter("sim.packets.generated")
       .inc(result_.generated - emitted_.generated);
   m.counter("sim.packets.delivered")
@@ -667,15 +684,6 @@ void SimRun::emit_round_metrics(int round, std::size_t alive_now,
       .inc(result_.lost_dead - emitted_.lost_dead);
   emitted_ = {result_.generated, result_.delivered, result_.lost_link,
               result_.lost_queue, result_.lost_dead};
-  m.gauge("sim.alive").set(static_cast<double>(alive_now));
-  m.histogram("sim.heads_per_round", 0.0, 64.0, 32)
-      .add(static_cast<double>(head_ct));
-  telemetry_->emit(obs::Event("round_end", round)
-                       .with("alive", alive_now)
-                       .with("heads", head_ct)
-                       .with("residual_j", net_.total_residual_energy())
-                       .with("generated", result_.generated)
-                       .with("delivered", result_.delivered));
 }
 
 SimResult SimRun::run() {
@@ -946,6 +954,7 @@ SimResult SimRun::run() {
       lose(MacLossCause::kSenderDown, id, id, queues_[i].size());
     }
   }
+  if (telemetry_) emit_packet_counters();
 
   if (fault_) {
     ResilienceStats& res = result_.resilience;

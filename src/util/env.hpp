@@ -6,13 +6,8 @@
 //   QLEC_BENCH_FAST=1        shrink bench runs for smoke testing
 //   QLEC_REGEN_GOLDEN=1      rewrite tests/golden/ digests instead of
 //                            comparing (golden-trace harness)
-//   QLEC_PERF_REPEATS=<n>    timed repetitions per perf-bench case
-//   QLEC_PERF_BASELINE=<p>   baseline BENCH_scaling.json to embed for
-//                            speedup reporting
-//   QLEC_FAULT_INTENSITY=<x> extra multiplier (> 0, default 1) on every
-//                            hazard rate in the resilience sweep
-//   QLEC_RUN_JOBS=<n>        qlec_run seed fan-out width (0/unset = serial;
-//                            --jobs/--serial override)
+//   QLEC_RUN_JOBS=<n>        default qlec_run --jobs width (0/unset =
+//                            serial; --jobs/--serial override)
 //   QLEC_SERVE_CACHE=<dir>   default ResultStore directory for qlec_serve
 //                            and qlec_run --serve-cache (unset = no disk
 //                            cache)
@@ -73,15 +68,6 @@ inline std::size_t bench_seeds(std::size_t def = 5) {
 /// QLEC_REGEN_GOLDEN: rewrite the committed golden-trace digests.
 inline bool regen_golden() { return flag("QLEC_REGEN_GOLDEN"); }
 
-/// QLEC_PERF_REPEATS: timed repetitions per perf-bench case.
-inline std::size_t perf_repeats(std::size_t def) {
-  return static_cast<std::size_t>(
-      positive_int("QLEC_PERF_REPEATS", static_cast<long>(def)));
-}
-
-/// QLEC_PERF_BASELINE: path to a baseline BENCH_scaling.json to embed.
-inline std::string perf_baseline() { return str("QLEC_PERF_BASELINE"); }
-
 /// QLEC_TELEMETRY: enable the obs/ telemetry layer with in-memory sinks.
 inline bool telemetry() { return flag("QLEC_TELEMETRY"); }
 
@@ -112,16 +98,6 @@ inline std::string serve_cache() { return str("QLEC_SERVE_CACHE"); }
 /// hardware concurrency; --workers wins).
 inline std::size_t serve_workers() {
   return static_cast<std::size_t>(positive_int("QLEC_SERVE_WORKERS", 0));
-}
-
-/// QLEC_FAULT_INTENSITY: multiplier applied to every hazard rate in the
-/// resilience sweep (default 1; unset/unparsable/non-positive -> fallback).
-inline double fault_intensity(double fallback = 1.0) {
-  const char* v = std::getenv("QLEC_FAULT_INTENSITY");
-  if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double x = std::strtod(v, &end);
-  return (end != v && x > 0.0) ? x : fallback;
 }
 
 }  // namespace qlec::env

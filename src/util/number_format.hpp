@@ -1,6 +1,5 @@
-// The one round-trippable double formatter behind the four former
-// snprintf("%.17g") sites: JsonWriter::value(double), dump_json,
-// CsvWriter::write_row(vector<double>) and network_to_csv. Between them they
+// The one round-trippable double formatter behind JsonWriter::value(double),
+// dump_json and CsvWriter::write_row(vector<double>). Between them they
 // write every job-key echo, manifest_to_json and ResultStore record. Other
 // outputs keep their own fixed precision (manifest_to_csv's %.6f/%.3f/%.1f,
 // the per-round metrics CSV's %.9g, the dataset loaders' %.6g/%.8g) and are

@@ -168,6 +168,15 @@ TEST(CliGolden, PaperScenariosMatchBenchConfigs) {
          e.protocol.qlec.force_k = c.protocol.qlec.force_k;
          return e;
        }},
+      {"ablation_improvements.json",
+       [](const ExperimentConfig& c) {
+         ExperimentConfig e = bench::lifespan_config(4.0);
+         e.protocol.name = "qlec";
+         e.protocol.qlec.use_energy_threshold =
+             c.protocol.qlec.use_energy_threshold;
+         e.protocol.qlec.reduce_redundancy = c.protocol.qlec.reduce_redundancy;
+         return e;
+       }},
       {"ablation_mobility.json",
        [](const ExperimentConfig& c) {
          ExperimentConfig e = bench::paper_config(4.0);

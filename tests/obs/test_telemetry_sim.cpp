@@ -91,33 +91,48 @@ TEST(TelemetrySim, EventStreamMatchesRoundCount) {
 }
 
 TEST(TelemetrySim, MetricsExportAgreesWithSimResult) {
-  const std::string path = "test_telemetry_metrics.json";
-  ExperimentConfig cfg = small_config();
-  cfg.seeds = 1;
-  cfg.sim.telemetry.enabled = true;
-  cfg.sim.telemetry.sink = obs::TelemetryOptions::Sink::kNull;
-  cfg.sim.telemetry.metrics_path = path;
-  const auto results = run_replications("qlec", cfg);
-  ASSERT_EQ(results.size(), 1u);
-  const SimResult& r = results[0];
+  // The small cell, and a congested §5.1 cell (lambda = 2) whose run ends
+  // with packets still queued: the end-of-run tally books those into
+  // lost_dead after the last round, and the counters must include them.
+  ExperimentConfig congested;
+  congested.scenario.n = 100;
+  congested.scenario.m_side = 200.0;
+  congested.scenario.initial_energy = 5.0;
+  congested.sim.rounds = 20;
+  congested.sim.slots_per_round = 20;
+  congested.sim.mean_interarrival = 2.0;
+  congested.protocol.qlec.total_rounds = 20;
+  for (ExperimentConfig cfg : {small_config(), congested}) {
+    const std::string path = "test_telemetry_metrics.json";
+    cfg.seeds = 1;
+    cfg.sim.telemetry.enabled = true;
+    cfg.sim.telemetry.sink = obs::TelemetryOptions::Sink::kNull;
+    cfg.sim.telemetry.metrics_path = path;
+    const auto results = run_replications("qlec", cfg);
+    ASSERT_EQ(results.size(), 1u);
+    const SimResult& r = results[0];
+    if (cfg.scenario.n == congested.scenario.n) {
+      ASSERT_GT(r.lost_dead, 0u);
+    }
 
-  std::string err;
-  const auto doc = parse_json(slurp(path), &err);
-  ASSERT_TRUE(doc.has_value()) << err;
-  const JsonValue* counters = doc->get("counters");
-  ASSERT_NE(counters, nullptr);
-  const auto counter = [&](const char* name) -> std::uint64_t {
-    const JsonValue* v = counters->get(name);
-    return v != nullptr ? static_cast<std::uint64_t>(v->as_double()) : 0;
-  };
-  EXPECT_EQ(counter("sim.rounds"),
-            static_cast<std::uint64_t>(r.rounds_completed));
-  EXPECT_EQ(counter("sim.packets.generated"), r.generated);
-  EXPECT_EQ(counter("sim.packets.delivered"), r.delivered);
-  EXPECT_EQ(counter("sim.packets.lost.link"), r.lost_link);
-  EXPECT_EQ(counter("sim.packets.lost.queue"), r.lost_queue);
-  EXPECT_EQ(counter("sim.packets.lost.dead"), r.lost_dead);
-  std::remove(path.c_str());
+    std::string err;
+    const auto doc = parse_json(slurp(path), &err);
+    ASSERT_TRUE(doc.has_value()) << err;
+    const JsonValue* counters = doc->get("counters");
+    ASSERT_NE(counters, nullptr);
+    const auto counter = [&](const char* name) -> std::uint64_t {
+      const JsonValue* v = counters->get(name);
+      return v != nullptr ? static_cast<std::uint64_t>(v->as_double()) : 0;
+    };
+    EXPECT_EQ(counter("sim.rounds"),
+              static_cast<std::uint64_t>(r.rounds_completed));
+    EXPECT_EQ(counter("sim.packets.generated"), r.generated);
+    EXPECT_EQ(counter("sim.packets.delivered"), r.delivered);
+    EXPECT_EQ(counter("sim.packets.lost.link"), r.lost_link);
+    EXPECT_EQ(counter("sim.packets.lost.queue"), r.lost_queue);
+    EXPECT_EQ(counter("sim.packets.lost.dead"), r.lost_dead);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(TelemetrySim, SeedSuffixRewritesPathsBeforeTheExtension) {

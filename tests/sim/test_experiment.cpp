@@ -100,31 +100,11 @@ TEST(ExecPolicyApi, ModesExposeTheirConfiguration) {
   const ExecPolicy s = ExecPolicy::serial();
   EXPECT_TRUE(s.is_serial());
   EXPECT_FALSE(s.is_pool());
-  EXPECT_EQ(s.borrowed(), nullptr);
 
   const ExecPolicy p = ExecPolicy::pool(6);
   EXPECT_TRUE(p.is_pool());
   EXPECT_EQ(p.threads(), 6u);
   EXPECT_EQ(ExecPolicy::pool().threads(), 0u);  // 0 = hardware default
-
-  ThreadPool tp(1);
-  const ExecPolicy b = ExecPolicy::borrow(tp);
-  EXPECT_TRUE(b.is_borrow());
-  EXPECT_EQ(b.borrowed(), &tp);
-}
-
-TEST(ExecPolicyApi, BorrowedPoolMatchesSerial) {
-  ThreadPool tp(2);
-  const auto serial = run_replications("kmeans", fast_experiment());
-  const auto borrowed = run_replications("kmeans", fast_experiment(),
-                                         ExecPolicy::borrow(tp));
-  ASSERT_EQ(serial.size(), borrowed.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].generated, borrowed[i].generated);
-    EXPECT_EQ(serial[i].delivered, borrowed[i].delivered);
-    EXPECT_DOUBLE_EQ(serial[i].total_energy_consumed,
-                     borrowed[i].total_energy_consumed);
-  }
 }
 
 }  // namespace

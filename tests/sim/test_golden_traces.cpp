@@ -92,10 +92,9 @@ TEST(GoldenTraces, SameSeedRerunsAreBitIdentical) {
 }
 
 TEST(GoldenTraces, SerialMatchesThreadPoolFanout) {
-  ThreadPool pool(3);
-  const ExecPolicy borrowed = ExecPolicy::borrow(pool);
   for (const std::string& name : protocol_names())
-    EXPECT_EQ(digests_for(name), digests_for(name, borrowed)) << name;
+    EXPECT_EQ(digests_for(name), digests_for(name, ExecPolicy::pool(3)))
+        << name;
 }
 
 TEST(GoldenTraces, MatchesCommittedDigests) {

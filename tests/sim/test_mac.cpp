@@ -137,8 +137,7 @@ TEST(MacEnabled, DeterministicAcrossRerunsAndExecPolicy) {
        {std::string("qlec"), std::string("fcm"), std::string("qelar")}) {
     const auto baseline = digests_for(name, cfg);
     EXPECT_EQ(baseline, digests_for(name, cfg)) << name << ": rerun";
-    ThreadPool pool(3);
-    EXPECT_EQ(baseline, digests_for(name, cfg, ExecPolicy::borrow(pool)))
+    EXPECT_EQ(baseline, digests_for(name, cfg, ExecPolicy::pool(3)))
         << name << ": seed fan-out policy changed a MAC-enabled trajectory";
   }
 }

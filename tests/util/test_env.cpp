@@ -83,16 +83,5 @@ TEST(Env, BenchSeedsHonorsOverrideThenFastThenDefault) {
   EXPECT_EQ(env::bench_seeds(3), 3u);
 }
 
-TEST(Env, PerfKnobs) {
-  ::unsetenv("QLEC_PERF_REPEATS");
-  ::unsetenv("QLEC_PERF_BASELINE");
-  EXPECT_EQ(env::perf_repeats(4), 4u);
-  EXPECT_EQ(env::perf_baseline(), "");
-  EnvVar r("QLEC_PERF_REPEATS", "11");
-  EnvVar b("QLEC_PERF_BASELINE", "/tmp/baseline.json");
-  EXPECT_EQ(env::perf_repeats(4), 11u);
-  EXPECT_EQ(env::perf_baseline(), "/tmp/baseline.json");
-}
-
 }  // namespace
 }  // namespace qlec
