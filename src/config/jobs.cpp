@@ -16,6 +16,9 @@ namespace detail {
 /// Shared state of one scheduled cell. Guarded by `m` except where noted;
 /// `cv` signals every state transition out of kQueued/kRunning.
 struct Job {
+  /// The key is fixed for the job's life (handles read it unlocked). The
+  /// worker that takes the job moves the rest out to simulate it, so a
+  /// finished job holds its key alone, as a cache-born job does.
   JobSpec spec;
   int priority = 0;
   std::uint64_t seq = 0;
@@ -292,7 +295,7 @@ std::optional<JobHandle> JobRunner::attach_live(const JobSpec& spec,
   return h;
 }
 
-JobHandle JobRunner::submit(const JobSpec& spec, int priority) {
+JobHandle JobRunner::submit(JobSpec spec, int priority) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_)
@@ -311,10 +314,12 @@ JobHandle JobRunner::submit(const JobSpec& spec, int priority) {
       job->state = JobState::kDone;
       const std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.cache_hits;
-      return JobHandle(std::move(job), spec.label, spec.bindings);
+      return JobHandle(std::move(job), std::move(spec.label),
+                       std::move(spec.bindings));
     }
   }
-  std::shared_ptr<Job> job;
+  auto job = std::make_shared<Job>();
+  JobHandle handle(job, spec.label, spec.bindings);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_)
@@ -324,16 +329,15 @@ JobHandle JobRunner::submit(const JobSpec& spec, int priority) {
     // this one's.
     if (auto h = attach_live(spec, /*accept_done=*/opts_.store != nullptr))
       return *h;
-    job = std::make_shared<Job>();
-    job->spec = spec;
+    job->spec = std::move(spec);
     job->priority = priority;
     job->seq = next_seq_++;
-    live_[spec.key] = job;
-    queue_.push_back(job);
+    live_[job->spec.key] = job;
+    queue_.push_back(std::move(job));
     std::push_heap(queue_.begin(), queue_.end(), heap_before);
   }
   cv_.notify_one();
-  return JobHandle(job, spec.label, spec.bindings);
+  return handle;
 }
 
 void JobRunner::wait_idle() const {
@@ -371,6 +375,13 @@ void JobRunner::worker_loop() {
 }
 
 void JobRunner::run_job(const std::shared_ptr<Job>& job) {
+  // This worker is the job's one reader of its spec beyond the key, so it
+  // takes the config, label and bindings for itself, cancelled or not: the
+  // job keeps its key alone, and the config is freed with `cell`.
+  SweepCell cell;
+  cell.bindings = std::move(job->spec.bindings);
+  cell.label = std::move(job->spec.label);
+  cell.config = std::move(job->spec.config);
   {
     const std::lock_guard<std::mutex> lock(job->m);
     if (job->state != JobState::kQueued) return;  // cancelled while queued
@@ -379,10 +390,6 @@ void JobRunner::run_job(const std::shared_ptr<Job>& job) {
   // Stats are bumped BEFORE the terminal state is published: an awaiter
   // that wakes from this job must already see it in stats() (the load
   // bench reads per-phase deltas that way).
-  SweepCell cell;
-  cell.bindings = job->spec.bindings;
-  cell.label = job->spec.label;
-  cell.config = job->spec.config;
   try {
     CellResult r = run_cell(cell, opts_.within_cell, &job->cancel_requested);
     // Insert before publishing kDone so a submitter that awaits this job

@@ -181,7 +181,9 @@ class JobRunner {
   JobRunner(const JobRunner&) = delete;
   JobRunner& operator=(const JobRunner&) = delete;
 
-  JobHandle submit(const JobSpec& spec, int priority = 0);
+  /// Pass an rvalue to hand the spec's config over without a copy; only a
+  /// queued job keeps it, and only until it has run.
+  JobHandle submit(JobSpec spec, int priority = 0);
 
   /// Blocks until no job is queued or running.
   void wait_idle() const;

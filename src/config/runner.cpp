@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <thread>
+#include <utility>
 
 #include "config/jobs.hpp"
 #include "config/reader.hpp"
@@ -234,8 +235,8 @@ RunManifest run_grid(const std::vector<SweepCell>& cells,
   JobRunner runner(opts);
   std::vector<JobHandle> handles;
   handles.reserve(cells.size());
-  for (const JobSpec& spec : plan(cells))
-    handles.push_back(runner.submit(spec));
+  for (JobSpec& spec : plan(cells))
+    handles.push_back(runner.submit(std::move(spec)));
   RunManifest m;
   m.cells.reserve(cells.size());
   for (std::size_t i = 0; i < handles.size(); ++i) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <optional>
+#include <utility>
 
 namespace qlec::config {
 namespace {
@@ -26,27 +27,31 @@ std::vector<std::string> split_path(const std::string& path) {
 }
 
 /// The members of the node at parts[0..depth), the node a path write goes
-/// through: an object's own members, or none for null (which a write turns
-/// into an object). Anything else is a ConfigError at that prefix.
+/// through, moved out of it: an object's own members, or none for null
+/// (which a write turns into an object). Anything else is a ConfigError at
+/// that prefix.
 std::vector<std::pair<std::string, JsonValue>> members_on_path(
-    const JsonValue& node, const std::string& full_path,
+    JsonValue&& node, const std::string& full_path,
     const std::vector<std::string>& parts, std::size_t depth) {
-  if (node.is_object()) return node.members();
+  if (node.is_object()) return std::move(node).take_members();
   if (node.is_null()) return {};
   std::string prefix = parts[0];
   for (std::size_t i = 1; i < depth; ++i) prefix += "." + parts[i];
   throw ConfigError(full_path, "path traverses non-object value at " + prefix);
 }
 
-JsonValue set_in(const JsonValue& node, const std::string& full_path,
+/// `node` with the value at the rest of the path replaced by `leaf`. Takes
+/// `node` by value and moves every level it passes through, so a caller
+/// that moves its document in edits it without copying a subtree.
+JsonValue set_in(JsonValue node, const std::string& full_path,
                  const std::vector<std::string>& parts, std::size_t depth,
                  const JsonValue& leaf) {
   if (depth == parts.size()) return leaf;
   std::vector<std::pair<std::string, JsonValue>> members =
-      members_on_path(node, full_path, parts, depth);
+      members_on_path(std::move(node), full_path, parts, depth);
   for (auto& [k, v] : members) {
     if (k == parts[depth]) {
-      v = set_in(v, full_path, parts, depth + 1, leaf);
+      v = set_in(std::move(v), full_path, parts, depth + 1, leaf);
       return JsonValue::make_object(std::move(members));
     }
   }
@@ -59,18 +64,20 @@ JsonValue set_in(const JsonValue& node, const std::string& full_path,
 /// `node` without the member at the rest of the path: the inverse walk of
 /// set_in, failing where set_in fails, so a document a sweep writes into
 /// can be read without the subtrees the sweep replaces. A leaf key that
-/// repeats is kept, so the strict parse still rejects the duplicate.
-JsonValue erase_in(const JsonValue& node, const std::string& full_path,
+/// repeats is kept, so the strict parse still rejects the duplicate. Moves
+/// like set_in.
+JsonValue erase_in(JsonValue node, const std::string& full_path,
                    const std::vector<std::string>& parts, std::size_t depth) {
   std::vector<std::pair<std::string, JsonValue>> members =
-      members_on_path(node, full_path, parts, depth);
+      members_on_path(std::move(node), full_path, parts, depth);
   const auto named = [&key = parts[depth]](const auto& m) {
     return m.first == key;
   };
   const auto it = std::find_if(members.begin(), members.end(), named);
   if (it != members.end()) {
     if (depth + 1 < parts.size())
-      it->second = erase_in(it->second, full_path, parts, depth + 1);
+      it->second =
+          erase_in(std::move(it->second), full_path, parts, depth + 1);
     else if (std::count_if(members.begin(), members.end(), named) == 1)
       members.erase(it);
   }
@@ -90,14 +97,16 @@ std::string leaf_label(const JsonValue& v) {
 
 ScenarioFile parse_scenario(const std::string& text) {
   std::string error;
-  const std::optional<JsonValue> doc = parse_json(text, &error);
+  std::optional<JsonValue> doc = parse_json(text, &error);
   if (!doc) throw ConfigError("", "malformed JSON: " + error);
   if (!doc->is_object())
     throw ConfigError("", "scenario file must be a JSON object");
 
+  // The document is taken apart, not copied: every member and axis value
+  // moves into its place in the ScenarioFile.
   ScenarioFile out;
   std::vector<std::pair<std::string, JsonValue>> base_members;
-  for (const auto& [key, value] : doc->members()) {
+  for (auto& [key, value] : std::move(*doc).take_members()) {
     if (key == "name" || key == "description") {
       if (!value.is_string())
         throw ConfigError(key, "expected string, got " +
@@ -106,28 +115,28 @@ ScenarioFile parse_scenario(const std::string& text) {
     } else if (key == "sweep") {
       if (!value.is_object())
         throw ConfigError("sweep", "expected object of path -> value-array");
-      for (const auto& [path, values] : value.members()) {
+      for (auto& [path, values] : std::move(value).take_members()) {
         if (!values.is_array() || values.size() == 0)
           throw ConfigError("sweep." + path,
                             "expected non-empty array of axis values");
         split_path(path);  // reject malformed axis paths up front
-        out.axes.push_back({path, values.items()});
+        out.axes.push_back({std::move(path), std::move(values).take_items()});
       }
     } else {
-      base_members.emplace_back(key, value);
+      base_members.emplace_back(std::move(key), std::move(value));
     }
   }
   out.base = JsonValue::make_object(std::move(base_members));
   return out;
 }
 
-std::vector<SweepCell> expand_grid(const ScenarioFile& scenario,
+std::vector<SweepCell> expand_grid(ScenarioFile scenario,
                                    const std::vector<Override>& overrides) {
   // --set lands on the base first, and pins any axis it names exactly.
-  JsonValue base = scenario.base;
-  std::vector<SweepAxis> axes = scenario.axes;
+  JsonValue base = std::move(scenario.base);
+  std::vector<SweepAxis> axes = std::move(scenario.axes);
   for (const auto& [path, value] : overrides) {
-    base = with_path_set(base, path, value);
+    base = set_in(std::move(base), path, split_path(path), 0, value);
     std::erase_if(axes, [&p = path](const SweepAxis& a) {
       return a.path == p;
     });
@@ -147,7 +156,7 @@ std::vector<SweepCell> expand_grid(const ScenarioFile& scenario,
   std::vector<std::vector<std::string>> parts;
   for (const SweepAxis& a : axes) {
     parts.push_back(split_path(a.path));
-    base = erase_in(base, a.path, parts.back(), 0);
+    base = erase_in(std::move(base), a.path, parts.back(), 0);
   }
   const ExperimentConfig typed_base = experiment_from_json(base);
 
@@ -159,7 +168,7 @@ std::vector<SweepCell> expand_grid(const ScenarioFile& scenario,
     JsonValue overlay = JsonValue::make_object({});
     for (std::size_t a = 0; a < axes.size(); ++a) {
       const JsonValue& v = axes[a].values[idx[a]];
-      overlay = set_in(overlay, axes[a].path, parts[a], 0, v);
+      overlay = set_in(std::move(overlay), axes[a].path, parts[a], 0, v);
       c.bindings.emplace_back(axes[a].path, v);
       if (!c.label.empty()) c.label += ' ';
       c.label += axes[a].path + "=" + leaf_label(v);

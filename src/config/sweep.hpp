@@ -77,7 +77,9 @@ ScenarioFile parse_scenario(const std::string& text);
 /// ones that whole-document parse rejects. Where a grid holds more than
 /// one error, the one reported may differ: the base is checked before any
 /// cell. Throws ConfigError, including on grids above 10_000 cells.
-std::vector<SweepCell> expand_grid(const ScenarioFile& scenario,
+/// Takes `scenario` by value and edits its base in place: pass an rvalue
+/// (`expand_grid(parse_scenario(text))`) to expand without copying it.
+std::vector<SweepCell> expand_grid(ScenarioFile scenario,
                                    const std::vector<Override>& overrides = {});
 
 /// Renders a JSON leaf for labels/CSV: bare text for strings, compact JSON

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <system_error>
 #include <thread>
+#include <utility>
 
 #include "config/runner.hpp"
 #include "config/schema.hpp"
@@ -79,7 +80,49 @@ JobCounts count_jobs(const std::vector<config::JobHandle>& jobs) {
   return c;
 }
 
+/// What an entry holds against PlanMemo::kBudgetBytes.
+std::size_t entry_bytes(const std::string& body, const PlanMemo::Keys& keys) {
+  std::size_t bytes = body.size();
+  for (const std::string& k : keys) bytes += k.size();
+  return bytes;
+}
+
 }  // namespace
+
+std::shared_ptr<const PlanMemo::Keys> PlanMemo::find(const std::string& body) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = map_.find(body);
+  if (it == map_.end()) {
+    ++stats_.misses;
+    return nullptr;
+  }
+  ++stats_.hits;
+  return it->second;
+}
+
+void PlanMemo::insert(const std::string& body,
+                      std::shared_ptr<const Keys> keys) {
+  const std::size_t bytes = entry_bytes(body, *keys);
+  if (bytes > kBudgetBytes) return;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (map_.count(body) != 0) return;  // a concurrent miss got here first
+  while (stats_.bytes + bytes > kBudgetBytes) {
+    const auto oldest = map_.find(*order_.front());
+    stats_.bytes -= entry_bytes(oldest->first, *oldest->second);
+    map_.erase(oldest);
+    order_.pop_front();
+  }
+  // Node-based map: the key string's address is stable until its erase.
+  order_.push_back(&map_.emplace(body, std::move(keys)).first->first);
+  stats_.bytes += bytes;
+}
+
+PlanMemo::Stats PlanMemo::stats() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  Stats s = stats_;
+  s.entries = map_.size();
+  return s;
+}
 
 JobService::JobService(ServiceOptions opts)
     : opts_(std::move(opts)), store_(opts_.cache_dir) {
@@ -145,11 +188,13 @@ void JobService::handle(const HttpRequest& req, HttpResponse& resp) {
 }
 
 void JobService::post_runs(const HttpRequest& req, HttpResponse& resp) {
+  auto run = std::make_shared<Run>();
   std::vector<config::SweepCell> cells;
-  config::ScenarioFile scenario;
   try {
-    scenario = config::parse_scenario(req.body);
-    cells = config::expand_grid(scenario);
+    config::ScenarioFile scenario = config::parse_scenario(req.body);
+    run->name = std::move(scenario.name);
+    run->description = std::move(scenario.description);
+    cells = config::expand_grid(std::move(scenario));
   } catch (const ConfigError& e) {
     return reply_error(resp, 400, e.what(), e.path());
   }
@@ -176,14 +221,26 @@ void JobService::post_runs(const HttpRequest& req, HttpResponse& resp) {
     return it != req.query.end() && it->second != "0";
   }();
 
-  auto run = std::make_shared<Run>();
-  run->name = scenario.name;
-  run->description = scenario.description;
-  run->jobs.reserve(cells.size());
-  for (config::JobSpec& spec : config::plan(cells)) {
-    spool_telemetry(spec.config, opts_.telemetry_dir, spec.key);
-    run->jobs.push_back(runner_->submit(spec, priority));
+  // The body was validated and expanded above, as every body is; only its
+  // keys can come from the memo. Each cell then moves into its spec.
+  std::shared_ptr<const PlanMemo::Keys> keys = plans_.find(req.body);
+  const bool planned = keys != nullptr;
+  if (!planned) {
+    auto fresh = std::make_shared<PlanMemo::Keys>();
+    fresh->reserve(cells.size());
+    for (const config::SweepCell& cell : cells)
+      fresh->push_back(config::job_key(cell.config));
+    keys = std::move(fresh);
   }
+  run->jobs.reserve(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    config::JobSpec spec{(*keys)[i], std::move(cells[i].label),
+                         std::move(cells[i].bindings),
+                         std::move(cells[i].config)};
+    spool_telemetry(spec.config, opts_.telemetry_dir, spec.key);
+    run->jobs.push_back(runner_->submit(std::move(spec), priority));
+  }
+  if (!planned) plans_.insert(req.body, std::move(keys));
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     run->id = "r" + std::to_string(next_run_++);
@@ -255,6 +312,7 @@ void JobService::run_cancel(const Run& run, HttpResponse& resp) {
 void JobService::stats(HttpResponse& resp) {
   const config::JobRunner::Stats rs = runner_->stats();
   const config::ResultStore::Stats ss = store_.stats();
+  const PlanMemo::Stats ps = plans_.stats();
   std::size_t runs;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -279,6 +337,13 @@ void JobService::stats(HttpResponse& resp) {
   w.key("misses"); w.value(ss.misses);
   w.key("inserts"); w.value(ss.inserts);
   w.key("dir"); w.value(store_.dir());
+  w.end_object();
+  w.key("plans");
+  w.begin_object();
+  w.key("entries"); w.value(ps.entries);
+  w.key("bytes"); w.value(ps.bytes);
+  w.key("hits"); w.value(ps.hits);
+  w.key("misses"); w.value(ps.misses);
   w.end_object();
   w.key("code_version"); w.value(config::kCodeVersion);
   w.end_object();

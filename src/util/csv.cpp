@@ -3,8 +3,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "util/number_format.hpp"
-
 namespace qlec {
 
 std::vector<CsvRow> parse_csv(std::string_view text) {
@@ -107,13 +105,6 @@ bool write_text_file(const std::string& path, std::string_view text) {
 
 void CsvWriter::write_row(const CsvRow& row) {
   out_ << format_csv_row(row) << '\n';
-}
-
-void CsvWriter::write_row(const std::vector<double>& row) {
-  CsvRow cells;
-  cells.reserve(row.size());
-  for (const double v : row) cells.push_back(format_g17(v));
-  write_row(cells);
 }
 
 }  // namespace qlec

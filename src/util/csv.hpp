@@ -38,8 +38,6 @@ class CsvWriter {
   explicit CsvWriter(std::ostream& out) : out_(out) {}
 
   void write_row(const CsvRow& row);
-  /// Convenience: formats doubles with enough digits to round-trip.
-  void write_row(const std::vector<double>& row);
 
  private:
   std::ostream& out_;

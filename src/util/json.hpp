@@ -102,6 +102,14 @@ class JsonValue {
     return members_;
   }
 
+  /// Moves the items / members out of a node the caller is done with
+  /// (`std::move(doc).take_members()`), leaving it valid but unspecified:
+  /// a document can be taken apart without copying its subtrees.
+  std::vector<JsonValue> take_items() && noexcept { return std::move(items_); }
+  std::vector<std::pair<std::string, JsonValue>> take_members() && noexcept {
+    return std::move(members_);
+  }
+
   // Construction (used by the parser; handy for tests too).
   static JsonValue make_null() { return JsonValue{}; }
   static JsonValue make_bool(bool b);

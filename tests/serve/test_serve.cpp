@@ -1,7 +1,8 @@
 // The qlec_serve stack end to end, in process: HTTP framing, the
 // JobService REST surface (validation errors, run lifecycle, manifests,
 // cancellation), the second-submission cache guarantee and concurrent
-// deduplication — all over a real loopback socket on an ephemeral port.
+// deduplication — all over a real loopback socket on an ephemeral port —
+// and the plan memo behind POST /v1/runs, driven through handle() directly.
 #include "serve/service.hpp"
 
 #include <arpa/inet.h>
@@ -10,14 +11,27 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "config/jobs.hpp"
 #include "config/runner.hpp"
+#include "config/sweep.hpp"
 #include "config/version.hpp"
 #include "serve/client.hpp"
 #include "serve/http.hpp"
+#include "util/csv.hpp"
+#include "util/json.hpp"
+
+#ifndef QLEC_SCENARIO_DIR
+#error "QLEC_SCENARIO_DIR must point at examples/scenarios"
+#endif
 
 namespace qlec::serve {
 namespace {
@@ -317,6 +331,226 @@ TEST_F(ServeTest, CancelledRunHasNoManifest) {
   const ClientResponse status = roundtrip("GET", "/v1/runs/r2");
   EXPECT_NE(status.body.find("\"state\":\"cancelled\""), std::string::npos)
       << status.body;
+}
+
+// ---- The plan memo: a repeated body reuses its job keys ----
+
+HttpResponse call(JobService& service, const std::string& method,
+                  const std::string& path, const std::string& body = "",
+                  std::map<std::string, std::string> query = {}) {
+  HttpRequest req;
+  req.method = method;
+  req.path = path;
+  req.query = std::move(query);
+  req.body = body;
+  HttpResponse resp;
+  service.handle(req, resp);
+  return resp;
+}
+
+PlanMemo::Stats plan_stats(JobService& service) {
+  const HttpResponse r = call(service, "GET", "/stats");
+  const std::optional<JsonValue> doc = parse_json(r.body);
+  const JsonValue* plans = doc ? doc->get("plans") : nullptr;
+  PlanMemo::Stats s;
+  if (plans == nullptr) {
+    ADD_FAILURE() << "no plans block in /stats: " << r.body;
+    return s;
+  }
+  s.entries = static_cast<std::size_t>(plans->get("entries")->as_int());
+  s.bytes = static_cast<std::size_t>(plans->get("bytes")->as_int());
+  s.hits = static_cast<std::uint64_t>(plans->get("hits")->as_int());
+  s.misses = static_cast<std::uint64_t>(plans->get("misses")->as_int());
+  return s;
+}
+
+/// Stores a stand-in result under every key `body` plans to, so posting it
+/// is all store hits and simulates nothing. Returns config::plan's specs.
+std::vector<config::JobSpec> stock_store(JobService& service,
+                                         const std::string& body) {
+  std::vector<config::JobSpec> specs =
+      config::plan(config::expand_grid(config::parse_scenario(body)));
+  for (const config::JobSpec& spec : specs) {
+    config::CellResult r;
+    r.config = spec.config;
+    service.store().insert(spec.key, r);
+  }
+  return specs;
+}
+
+/// (key, label) of every job in a run_status body.
+std::vector<std::pair<std::string, std::string>> status_jobs(
+    const std::string& body) {
+  std::vector<std::pair<std::string, std::string>> out;
+  const std::optional<JsonValue> doc = parse_json(body);
+  const JsonValue* jobs = doc ? doc->get("jobs") : nullptr;
+  if (jobs == nullptr) return out;
+  for (const JsonValue& j : jobs->items())
+    out.emplace_back(j.get("key")->as_string(), j.get("label")->as_string());
+  return out;
+}
+
+std::vector<std::pair<std::string, std::string>> spec_jobs(
+    const std::vector<config::JobSpec>& specs) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const config::JobSpec& spec : specs)
+    out.emplace_back(spec.key, spec.label);
+  return out;
+}
+
+ServiceOptions memo_options() {
+  ServiceOptions o;
+  o.workers = 1;
+  return o;
+}
+
+TEST(PlanMemo, WarmServiceMatchesAFreshOneOnEveryScenario) {
+  std::vector<std::filesystem::path> files;
+  for (const char* dir : {"", "/worlds"})
+    for (const auto& e : std::filesystem::directory_iterator(
+             std::string(QLEC_SCENARIO_DIR) + dir))
+      if (e.path().extension() == ".json") files.push_back(e.path());
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 20u);
+  for (const std::filesystem::path& file : files) {
+    SCOPED_TRACE(file.string());
+    const std::string text = read_text_file(file.string()).value();
+    JobService fresh(memo_options());
+    JobService warm(memo_options());
+    const std::vector<config::JobSpec> specs = stock_store(fresh, text);
+    stock_store(warm, text);
+
+    const HttpResponse cold = call(fresh, "POST", "/v1/runs", text);
+    ASSERT_EQ(cold.status, 202) << cold.body;
+    ASSERT_EQ(call(warm, "POST", "/v1/runs", text).status, 202);
+    const HttpResponse hit = call(warm, "POST", "/v1/runs", text);
+    ASSERT_EQ(hit.status, 202) << hit.body;
+    const PlanMemo::Stats ps = plan_stats(warm);
+    EXPECT_EQ(ps.hits, 1u);
+    EXPECT_EQ(ps.misses, 1u);
+
+    // Same keys and labels as config::plan, and the same status bytes as
+    // the fresh service (only the run id differs: r2 against r1).
+    EXPECT_EQ(status_jobs(hit.body), spec_jobs(specs));
+    std::string renamed = hit.body;
+    const std::string r2 = "\"run_id\":\"r2\"";
+    ASSERT_EQ(renamed.find(r2), 1u) << renamed;
+    renamed.replace(1, r2.size(), "\"run_id\":\"r1\"");
+    EXPECT_EQ(renamed, cold.body);
+    EXPECT_EQ(call(warm, "GET", "/v1/runs/r2").body,
+              call(warm, "GET", "/v1/runs/r1").body.replace(
+                  1, r2.size(), r2));
+  }
+}
+
+TEST(PlanMemo, RejectedBodiesAreNeverKept) {
+  ServiceOptions o = memo_options();
+  o.max_cells = 1;
+  JobService service(o);
+  EXPECT_EQ(call(service, "POST", "/v1/runs", "{nope").status, 400);
+  EXPECT_EQ(
+      call(service, "POST", "/v1/runs", R"({"scenario": {"n": -4}})").status,
+      400);
+  EXPECT_EQ(call(service, "POST", "/v1/runs", kTinyScenario).status, 400)
+      << "2 cells > max_cells=1";
+  const std::string one_cell = R"({"scenario": {"n": 16}, "seeds": 1,
+    "sim": {"rounds": 2, "slots_per_round": 4}})";
+  stock_store(service, one_cell);
+  EXPECT_EQ(call(service, "POST", "/v1/runs", one_cell, {{"priority", "x"}})
+                .status,
+            400);
+  for (int round = 0; round < 2; ++round) {
+    const PlanMemo::Stats ps = plan_stats(service);
+    EXPECT_EQ(ps.entries, 0u);
+    EXPECT_EQ(ps.bytes, 0u);
+    EXPECT_EQ(ps.hits + ps.misses, 0u);
+    // A repeat of each rejected body is rejected the same way.
+    EXPECT_EQ(call(service, "POST", "/v1/runs", "{nope").status, 400);
+    EXPECT_EQ(call(service, "POST", "/v1/runs", kTinyScenario).status, 400);
+  }
+  ASSERT_EQ(call(service, "POST", "/v1/runs", one_cell).status, 202);
+  const PlanMemo::Stats ps = plan_stats(service);
+  EXPECT_EQ(ps.entries, 1u);
+  EXPECT_EQ(ps.misses, 1u);
+}
+
+TEST(PlanMemo, EvictionKeepsKeysCorrectWithinTheBudget) {
+  JobService service(memo_options());
+  // One-cell bodies of about 300 KB each (the description pads them), so
+  // the budget holds three and the fourth evicts the oldest.
+  const auto body = [](int seed, std::size_t pad) {
+    return R"({"name": "memo", "description": ")" + std::string(pad, 'x') +
+           R"(", "base_seed": )" + std::to_string(seed) +
+           R"(, "scenario": {"n": 16}, "seeds": 1,
+              "sim": {"rounds": 2, "slots_per_round": 4}})";
+  };
+  constexpr std::size_t kPad = 300 * 1024;
+  constexpr int kBodies = 6;
+  std::vector<std::vector<config::JobSpec>> specs;
+  for (int i = 0; i < kBodies; ++i) {
+    specs.push_back(stock_store(service, body(i, kPad)));
+    const HttpResponse r = call(service, "POST", "/v1/runs", body(i, kPad));
+    ASSERT_EQ(r.status, 202) << i;
+    EXPECT_EQ(status_jobs(r.body), spec_jobs(specs.back())) << i;
+    const PlanMemo::Stats ps = plan_stats(service);
+    EXPECT_LE(ps.bytes, PlanMemo::kBudgetBytes) << i;
+    EXPECT_EQ(ps.entries, std::min(i + 1, 3)) << i;
+  }
+  // The newest body is a hit, the oldest was evicted and misses; both
+  // still come back with config::plan's keys.
+  PlanMemo::Stats before = plan_stats(service);
+  for (const int i : {kBodies - 1, 0}) {
+    const HttpResponse r = call(service, "POST", "/v1/runs", body(i, kPad));
+    ASSERT_EQ(r.status, 202);
+    EXPECT_EQ(status_jobs(r.body), spec_jobs(specs[i])) << i;
+  }
+  PlanMemo::Stats after = plan_stats(service);
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_LE(after.bytes, PlanMemo::kBudgetBytes);
+
+  // A body larger than the whole budget is served but never kept.
+  const std::string huge = body(99, PlanMemo::kBudgetBytes);
+  const std::vector<config::JobSpec> huge_specs = stock_store(service, huge);
+  before = plan_stats(service);
+  for (int round = 0; round < 2; ++round) {
+    const HttpResponse r = call(service, "POST", "/v1/runs", huge);
+    ASSERT_EQ(r.status, 202);
+    EXPECT_EQ(status_jobs(r.body), spec_jobs(huge_specs));
+  }
+  after = plan_stats(service);
+  EXPECT_EQ(after.misses, before.misses + 2);
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.bytes, before.bytes);
+}
+
+TEST(PlanMemo, ConcurrentIdenticalPostsSimulateEachCellOnce) {
+  // Two waves of C threads post the same grid: the first races cold (any
+  // of them may plan it), the second finds it in the memo. Every cell still
+  // simulates once, and every manifest is the same.
+  JobService service(ServiceOptions{/*workers=*/2, "", "", 100});
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::string> manifests;
+  for (int wave = 0; wave < 2; ++wave) {
+    std::vector<HttpResponse> replies(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&service, &replies, t] {
+        replies[t] = call(service, "POST", "/v1/runs", kTinyScenario,
+                          {{"wait", "1"}});
+      });
+    for (std::thread& t : threads) t.join();
+    for (const HttpResponse& r : replies) {
+      EXPECT_EQ(r.status, 200) << r.body;
+      manifests.push_back(r.body);
+    }
+  }
+  for (const std::string& m : manifests) EXPECT_EQ(m, manifests.front());
+  EXPECT_EQ(service.runner().stats().simulated, 2u);
+  const PlanMemo::Stats ps = plan_stats(service);
+  EXPECT_EQ(ps.entries, 1u);
+  EXPECT_EQ(ps.hits + ps.misses, 2 * kThreads);
+  EXPECT_GE(ps.hits, kThreads);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/number_format.hpp"
+
 namespace qlec {
 namespace {
 
@@ -83,7 +85,7 @@ TEST(CsvWriter, WritesRows) {
   std::ostringstream out;
   CsvWriter w(out);
   w.write_row(CsvRow{"h1", "h2"});
-  w.write_row(std::vector<double>{1.5, 2.25});
+  w.write_row(CsvRow{format_g17(1.5), format_g17(2.25)});
   const auto rows = parse_csv(out.str());
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0], (CsvRow{"h1", "h2"}));
@@ -95,7 +97,7 @@ TEST(CsvWriter, DoublesRoundTripExactly) {
   std::ostringstream out;
   CsvWriter w(out);
   const double v = 0.1 + 0.2;  // 0.30000000000000004
-  w.write_row(std::vector<double>{v});
+  w.write_row(CsvRow{format_g17(v)});
   const auto rows = parse_csv(out.str());
   EXPECT_EQ(std::stod(rows[0][0]), v);
 }

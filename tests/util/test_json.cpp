@@ -10,11 +10,10 @@
 #include <cstring>
 #include <limits>
 #include <random>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "util/csv.hpp"
 #include "util/number_format.hpp"
 
 namespace qlec {
@@ -279,7 +278,8 @@ std::vector<double> g17_edges() {
       0.0, -0.0, std::numeric_limits<double>::denorm_min(),
       -std::numeric_limits<double>::denorm_min(), DBL_MIN, -DBL_MIN,
       DBL_MAX, -DBL_MAX, two53 - 1, two53, two53 + 1, two53 + 2, -two53 - 1,
-      1e16, 1e17, -1e17, std::nextafter(1e17, 0.0),
+      -two53, 1e16, 99999999999999984.0, 1e17, -1e17, 1e300,
+      std::nextafter(1e17, 0.0),
       std::nextafter(1e17, 1e18), std::nextafter(-1e17, 0.0), 1e15 + 0.5,
       0.1, 0.2, 0.1 + 0.2, 1.0 / 3.0, 0.5, 1.0, -1.0, 2.0, 10.0, 1e-4,
       1e-5, 9.9999999999999995e-5, 123456789012345678.0, 1e21, 1e22, 1e100,
@@ -317,6 +317,41 @@ TEST(NumberFormat, MatchesSnprintfG17OnTheOracleCorpus) {
   EXPECT_EQ(mismatches, 0u);
 }
 
+TEST(NumberFormat, IntegralFastPathRows) {
+  // Integral |v| < 1e17 is written as an integer; these rows straddle that
+  // path's edges (signed zero, 2^53, the last double below 1e17) and the
+  // values just outside it.
+  const double two53 = 9007199254740992.0;
+  const std::pair<double, const char*> rows[] = {
+      {0.0, "0"},
+      {-0.0, "-0"},
+      {1.0, "1"},
+      {-1.0, "-1"},
+      {two53, "9007199254740992"},
+      {-two53, "-9007199254740992"},
+      {two53 + 2, "9007199254740994"},
+      {1e16, "10000000000000000"},
+      {99999999999999984.0, "99999999999999984"},
+      {1e17, "1e+17"},
+      {-1e17, "-1e+17"},
+      {1e300, "1.0000000000000001e+300"},
+      {0.5, "0.5"},
+  };
+  for (const auto& [v, text] : rows) {
+    EXPECT_EQ(g17_oracle(v), text);
+    EXPECT_EQ(format_g17(v), g17_oracle(v));
+    std::string appended = "x";  // append_g17 keeps what precedes it
+    append_g17(appended, v);
+    EXPECT_EQ(appended.front(), 'x');
+    EXPECT_EQ(appended.substr(1), text);
+  }
+}
+
+TEST(NumberFormat, DoublesRoundTripExactly) {
+  for (const double v : {0.1 + 0.2, 1.5, 2.25, 1.0 / 3.0, -7.0})
+    EXPECT_EQ(std::stod(format_g17(v)), v);
+}
+
 TEST(NumberFormat, NonFiniteMatchesPrintfSpelling) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -325,19 +360,23 @@ TEST(NumberFormat, NonFiniteMatchesPrintfSpelling) {
 }
 
 TEST(NumberFormat, EveryWriterEmitsTheOracleBytes) {
-  // JsonWriter::value(double), dump_json and CsvWriter all format through
-  // util/number_format.hpp; each must reproduce %.17g over the whole corpus.
+  // JsonWriter::value(double) and dump_json format through
+  // util/number_format.hpp; each, and append_g17 itself, must reproduce
+  // %.17g over the whole corpus.
   const std::vector<double> corpus = g17_corpus();
   constexpr std::size_t kChunk = 4096;
   for (std::size_t at = 0; at < corpus.size(); at += kChunk) {
     const std::size_t end = std::min(corpus.size(), at + kChunk);
     const std::vector<double> chunk(corpus.begin() + at, corpus.begin() + end);
-    std::string csv_row;
-    for (const double d : chunk) csv_row += g17_oracle(d) + ",";
-    csv_row.back() = '\n';
-    std::string json = "[";
-    json.append(csv_row, 0, csv_row.size() - 1);
-    json += ']';
+    std::string row, appended;
+    for (const double d : chunk) {
+      row += g17_oracle(d) + ",";
+      append_g17(appended, d);
+      appended += ',';
+    }
+    ASSERT_EQ(appended, row) << "append_g17, chunk at " << at;
+    row.pop_back();
+    const std::string json = "[" + row + "]";
 
     JsonWriter w;
     w.begin_array();
@@ -350,11 +389,6 @@ TEST(NumberFormat, EveryWriterEmitsTheOracleBytes) {
     ASSERT_EQ(w.str(), json) << "JsonWriter, chunk at " << at;
     ASSERT_EQ(dump_json(JsonValue::make_array(std::move(items))), json)
         << "dump_json, chunk at " << at;
-
-    std::ostringstream out;
-    CsvWriter(out).write_row(chunk);
-    ASSERT_EQ(out.str(), csv_row)
-        << "CsvWriter, chunk at " << at;
   }
 }
 
