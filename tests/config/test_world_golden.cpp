@@ -1,7 +1,9 @@
 // Golden pins for the terrain-aware world library (DESIGN.md §16). Three
 // representative worlds — terrain occlusion, an underwater column, and an
 // orbiting sink — run through the declarative path and must reproduce the
-// committed tests/golden/world_*.digest files bit-for-bit. Alongside them,
+// committed tests/golden/world_*.digest files bit-for-bit, and so must
+// mountain_ridge with moving nodes and an orbiting sink laid over it
+// (world_mountain_ridge_mobile.digest). Alongside them,
 // the library-wide parse sweep and the env-neutrality guard: enabling an
 // empty environment on the frozen golden scenario must leave every
 // committed per-protocol digest untouched. MacGolden pins the MAC-enabled
@@ -56,37 +58,61 @@ std::vector<std::string> read_digest_lines(const std::string& path) {
   return lines;
 }
 
-TEST(WorldGolden, PinnedWorldsMatchCommittedDigests) {
-  for (const char* stem : kGoldenWorlds) {
-    const std::string golden_path =
-        std::string(QLEC_GOLDEN_DIR) + "/world_" + stem + ".digest";
-    const ScenarioFile scenario = parse_scenario(world_text(stem));
-    const RunManifest m = run_grid(expand_grid(scenario));
-    ASSERT_FALSE(m.cells.empty()) << stem;
+/// Runs `stem`'s world with `overrides` applied and compares every cell's
+/// digests with tests/golden/world_<golden>.digest (or rewrites that file
+/// under QLEC_REGEN_GOLDEN=1).
+void expect_world_golden(const char* stem, const std::string& golden,
+                         const std::vector<Override>& overrides = {}) {
+  const std::string golden_path =
+      std::string(QLEC_GOLDEN_DIR) + "/world_" + golden + ".digest";
+  const ScenarioFile scenario = parse_scenario(world_text(stem));
+  const RunManifest m = run_grid(expand_grid(scenario, overrides));
+  ASSERT_FALSE(m.cells.empty()) << stem;
 
-    if (env::regen_golden()) {
-      std::ofstream out(golden_path);
-      out << "# " << scenario.name << "\n";
-      for (const CellResult& c : m.cells) {
-        out << "# cell: " << (c.label.empty() ? "(base)" : c.label) << "\n";
-        for (const std::string& d : c.digests) out << d << "\n";
-      }
-      continue;
+  if (env::regen_golden()) {
+    std::ofstream out(golden_path);
+    out << "# " << scenario.name << "\n";
+    for (const CellResult& c : m.cells) {
+      out << "# cell: " << (c.label.empty() ? "(base)" : c.label) << "\n";
+      for (const std::string& d : c.digests) out << d << "\n";
     }
-
-    std::vector<std::string> digests;
-    for (const CellResult& c : m.cells)
-      for (const std::string& d : c.digests) digests.push_back(d);
-    const std::vector<std::string> golden = read_digest_lines(golden_path);
-    ASSERT_FALSE(golden.empty())
-        << "missing " << golden_path
-        << " — run with QLEC_REGEN_GOLDEN=1 to (re)generate";
-    EXPECT_EQ(digests, golden)
-        << stem << " diverged from its committed world digests. If the "
-        << "model change is intentional, regenerate with "
-        << "QLEC_REGEN_GOLDEN=1 and commit tests/golden/world_" << stem
-        << ".digest.";
+    return;
   }
+
+  std::vector<std::string> digests;
+  for (const CellResult& c : m.cells)
+    for (const std::string& d : c.digests) digests.push_back(d);
+  const std::vector<std::string> golden_lines = read_digest_lines(golden_path);
+  ASSERT_FALSE(golden_lines.empty())
+      << "missing " << golden_path
+      << " — run with QLEC_REGEN_GOLDEN=1 to (re)generate";
+  EXPECT_EQ(digests, golden_lines)
+      << golden << " diverged from its committed world digests. If the "
+      << "model change is intentional, regenerate with "
+      << "QLEC_REGEN_GOLDEN=1 and commit tests/golden/world_" << golden
+      << ".digest.";
+}
+
+TEST(WorldGolden, PinnedWorldsMatchCommittedDigests) {
+  for (const char* stem : kGoldenWorlds) expect_world_golden(stem, stem);
+}
+
+TEST(WorldGolden, MovingNodesUnderTerrainAndAnOrbitingSink) {
+  // The only pinned world where node positions AND the sink move while
+  // occlusion is on: mountain_ridge with random-walk nodes and an orbiting
+  // BS. Any per-round memo of a position-dependent quantity that outlives
+  // a mobility step or a trajectory update diverges here.
+  const auto num = [](double v) { return JsonValue::make_number(v); };
+  const std::vector<Override> overrides = {
+      {"sim.mobility.kind", JsonValue::make_string("random_walk")},
+      {"sim.mobility.speed", num(8.0)},
+      {"bs.trajectory.kind", JsonValue::make_string("orbit")},
+      {"bs.trajectory.orbit_center",
+       JsonValue::make_array({num(100.0), num(100.0), num(200.0)})},
+      {"bs.trajectory.orbit_radius", num(70.0)},
+      {"bs.trajectory.orbit_period", num(5.0)},
+  };
+  expect_world_golden("mountain_ridge", "mountain_ridge_mobile", overrides);
 }
 
 TEST(MacGolden, ContentionScenarioMatchesCommittedDigests) {
