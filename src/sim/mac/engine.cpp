@@ -1,8 +1,8 @@
 #include "sim/mac/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <functional>
 
 namespace qlec {
 
@@ -94,6 +94,23 @@ class Reach {
 
 }  // namespace
 
+/// Ring width cap. The schema accepts windows up to INT_MAX subslots;
+/// events further ahead than the ring wait in their bucket for their lap.
+constexpr std::int64_t kMaxRing = 1024;
+
+MacEngine::MacEngine(const MacConfig& cfg, std::uint64_t seed)
+    : cfg_(cfg), rng_(seed) {
+  // A push lands at most max(airtime, cw(0), cw(max_retries)) subslots
+  // ahead (cw(0) <= cw_min), so a ring one wider never holds two laps.
+  const std::int64_t reach =
+      std::max({std::int64_t{cfg_.airtime_subslots},
+                std::int64_t{cfg_.cw_min}, cw(cfg_.max_retries)});
+  const auto ring = std::bit_ceil(
+      static_cast<std::uint64_t>(std::min(reach + 1, kMaxRing)));
+  buckets_.resize(ring);
+  ring_mask_ = ring - 1;
+}
+
 std::int64_t MacEngine::cw(int retry) const noexcept {
   // Binary-exponential window: cw_min << retry, capped at cw_max (a cw_max
   // below cw_min simply pins the window at cw_max).
@@ -102,16 +119,34 @@ std::int64_t MacEngine::cw(int retry) const noexcept {
   return std::min<std::int64_t>(w, cfg_.cw_max);
 }
 
-void MacEngine::push(std::int64_t t, int kind, std::uint32_t idx) {
-  events_.push_back(Event{t, kind, seq_++, idx});
-  std::push_heap(events_.begin(), events_.end(), std::greater<>{});
+void MacEngine::push(std::vector<Event> Bucket::*kind, std::int64_t t,
+                     std::uint32_t idx) {
+  (buckets_[static_cast<std::size_t>(t) & ring_mask_].*kind)
+      .push_back(Event{t, idx});
+  ++pending_;
 }
 
-MacEngine::Event MacEngine::pop() {
-  std::pop_heap(events_.begin(), events_.end(), std::greater<>{});
-  const Event ev = events_.back();
-  events_.pop_back();
-  return ev;
+void MacEngine::take_due(std::vector<Event>& list, std::int64_t t) {
+  due_.clear();
+  std::size_t keep = 0;
+  for (const Event& e : list) {
+    if (e.t == t) {
+      due_.push_back(e);
+    } else {
+      list[keep++] = e;  // a later lap
+    }
+  }
+  list.resize(keep);
+  pending_ -= due_.size();
+}
+
+std::int64_t MacEngine::earliest_pending() const noexcept {
+  std::int64_t t = INT64_MAX;
+  for (const Bucket& b : buckets_) {
+    for (const Event& e : b.ends) t = std::min(t, e.t);
+    for (const Event& e : b.starts) t = std::min(t, e.t);
+  }
+  return t;
 }
 
 void MacEngine::schedule_backoff(std::uint32_t i, std::int64_t t,
@@ -120,7 +155,7 @@ void MacEngine::schedule_backoff(std::uint32_t i, std::int64_t t,
       1 + static_cast<std::int64_t>(
               rng_.uniform_int(static_cast<std::uint64_t>(cw(retry))));
   totals_.backoff_subslots += static_cast<std::uint64_t>(delay);
-  push(t + delay, /*kind=*/1, i);
+  push(&Bucket::starts, t + delay, i);
 }
 
 void MacEngine::resolve(std::vector<MacFrame>& frames, MacHost& host) {
@@ -154,18 +189,15 @@ void MacEngine::resolve(std::vector<MacFrame>& frames, MacHost& host) {
   for (const MacFrame& f : frames)
     last_of_src_[static_cast<std::size_t>(f.src)] = -1;
 
-  events_.clear();
-  seq_ = 0;
   // Initial contention-window randomization, drawn in batch order so the
   // stream consumption is a pure function of the batch.
   for (const std::uint32_t i : chain_heads_) {
     const std::int64_t t0 = static_cast<std::int64_t>(
         rng_.uniform_int(static_cast<std::uint64_t>(cw(0))));
     totals_.backoff_subslots += static_cast<std::uint64_t>(t0);
-    push(t0, /*kind=*/1, i);
+    push(&Bucket::starts, t0, i);
   }
 
-  std::int64_t horizon = 0;
   const auto finish = [&](std::uint32_t i, std::int64_t t) {
     const std::int32_t next = next_of_src_[i];
     if (next >= 0) {
@@ -176,7 +208,7 @@ void MacEngine::resolve(std::vector<MacFrame>& frames, MacHost& host) {
           static_cast<std::int64_t>(
               rng_.uniform_int(static_cast<std::uint64_t>(cw(0))));
       totals_.backoff_subslots += static_cast<std::uint64_t>(t0 - t - 1);
-      push(t0, /*kind=*/1, static_cast<std::uint32_t>(next));
+      push(&Bucket::starts, t0, static_cast<std::uint32_t>(next));
     }
   };
   const auto drop = [&](std::uint32_t i, MacLossCause cause, std::int64_t t) {
@@ -204,66 +236,63 @@ void MacEngine::resolve(std::vector<MacFrame>& frames, MacHost& host) {
     }
   };
 
-  while (!events_.empty()) {
-    const Event ev = pop();
-    horizon = std::max(horizon, ev.t);
-    const std::uint32_t i = ev.idx;
+  const auto attempt_start = [&](std::uint32_t i, std::int64_t t) {
     MacFrame& f = frames[i];
-    if (ev.kind == 1) {
-      // Attempt start. Eligibility first: a sender that crashed, was
-      // stunned, or drained its battery mid-backoff drops its pending
-      // frame here, uncharged (audit invariant d2 depends on this).
-      if (!host.sender_up(f)) {
-        drop(i, MacLossCause::kSenderDown, ev.t);
-        continue;
-      }
-      // CCA: defer while any on-air sender is audible at this sender.
-      const bool busy =
-          std::any_of(on_air_.begin(), on_air_.end(), [&](std::uint32_t j) {
-            return j != i && reach.heard(frames[j].src_pos, f.src_pos);
-          });
-      if (busy) {
-        ++totals_.cca_busy;
-        if (++retries_[i] > cfg_.max_retries) {
-          // Never got on the air this time, but the saga is over: the
-          // upper layer observes the missing ACK.
-          host.on_feedback(f, false);
-          drop(i, MacLossCause::kCollision, ev.t);
-        } else {
-          schedule_backoff(i, ev.t, retries_[i]);
-        }
-        continue;
-      }
-      ++totals_.tx_attempts;
-      if (f.attempts > 0) ++totals_.retransmits;
-      host.on_attempt(f, f.attempts);
-      ++f.attempts;
-      on_air_.push_back(i);
-      air_log_.push_back(Airing{ev.t, i});
-      push(ev.t + air, /*kind=*/0, i);
-      continue;
+    // Eligibility first: a sender that crashed, was stunned, or drained its
+    // battery mid-backoff drops its pending frame here, uncharged (audit
+    // invariant d2 depends on this).
+    if (!host.sender_up(f)) {
+      drop(i, MacLossCause::kSenderDown, t);
+      return;
     }
+    // CCA: defer while any on-air sender is audible at this sender.
+    const bool busy =
+        std::any_of(on_air_.begin(), on_air_.end(), [&](std::uint32_t j) {
+          return j != i && reach.heard(frames[j].src_pos, f.src_pos);
+        });
+    if (busy) {
+      ++totals_.cca_busy;
+      if (++retries_[i] > cfg_.max_retries) {
+        // Never got on the air this time, but the saga is over: the upper
+        // layer observes the missing ACK.
+        host.on_feedback(f, false);
+        drop(i, MacLossCause::kCollision, t);
+      } else {
+        schedule_backoff(i, t, retries_[i]);
+      }
+      return;
+    }
+    ++totals_.tx_attempts;
+    if (f.attempts > 0) ++totals_.retransmits;
+    host.on_attempt(f, f.attempts);
+    ++f.attempts;
+    on_air_.push_back(i);
+    air_log_.push_back(Airing{t, i});
+    push(&Bucket::ends, t + air, i);
+  };
 
-    // Frame end: resolve the reception.
+  // Frame end: resolve the reception.
+  const auto frame_end = [&](std::uint32_t i, std::int64_t t) {
+    MacFrame& f = frames[i];
     *std::find(on_air_.begin(), on_air_.end(), i) = on_air_.back();
     on_air_.pop_back();
-    const std::int64_t start = ev.t - air;
+    const std::int64_t start = t - air;
     if (!host.target_listening(f)) {
       // Mirrors the ideal path's down-receiver semantics: no channel draw —
       // the receiver simply is not listening, the sender sees no ACK.
-      nack(i, MacLossCause::kTargetDown, ev.t);
-      continue;
+      nack(i, MacLossCause::kTargetDown, t);
+      return;
     }
     // Receiver-side interference: every other attempt whose airtime
     // overlaps [start, t) and whose sender is audible at this frame's
-    // receiver contributes power. Frame ends pop in time order, so the
+    // receiver contributes power. Frame ends play in time order, so the
     // attempts that started at or before t - 2·air never overlap again.
     while (log_lo < air_log_.size() &&
-           air_log_[log_lo].start + 2 * air <= ev.t)
+           air_log_[log_lo].start + 2 * air <= t)
       ++log_lo;
     contributors_.clear();
     for (std::size_t k = log_lo;
-         k < air_log_.size() && air_log_[k].start < ev.t; ++k) {
+         k < air_log_.size() && air_log_[k].start < t; ++k) {
       const auto [a, j] = air_log_[k];
       if (j == i || a + air <= start) continue;
       const Vec3& p = frames[j].src_pos;
@@ -284,21 +313,51 @@ void MacEngine::resolve(std::vector<MacFrame>& frames, MacHost& host) {
         ++totals_.capture_wins;
       } else {
         ++totals_.collisions;
-        nack(i, MacLossCause::kCollision, ev.t);
-        continue;
+        nack(i, MacLossCause::kCollision, t);
+        return;
       }
     }
     if (!rng_.bernoulli(f.link_p)) {
-      nack(i, MacLossCause::kChannel, ev.t);
-      continue;
+      nack(i, MacLossCause::kChannel, t);
+      return;
     }
     if (!host.on_decode(f)) {
-      nack(i, MacLossCause::kOverflow, ev.t);
-      continue;
+      nack(i, MacLossCause::kOverflow, t);
+      return;
     }
     f.delivered = true;
     host.on_feedback(f, true);
-    finish(i, ev.t);
+    finish(i, t);
+  };
+
+  // Walk the subslots in order. Nothing a subslot plays lands at that
+  // subslot (a backoff is >= 1, a successor starts at >= t + 1, a frame
+  // ends at t + airtime >= t + 1), so its events are all queued before it
+  // starts, and ends-then-starts in push order is the (t, end-before-start,
+  // insertion) order. A lap of the ring with nothing due means every
+  // pending event is a lap or more ahead: jump to the earliest.
+  std::int64_t horizon = 0;
+  std::size_t idle = 0;  ///< subslots walked since one played an event
+  for (std::int64_t t = 0; pending_ > 0; ++t) {
+    Bucket& b = buckets_[static_cast<std::size_t>(t) & ring_mask_];
+    bool played = false;
+    if (!b.ends.empty()) {
+      take_due(b.ends, t);
+      for (const Event& ev : due_) frame_end(ev.idx, t);
+      played = !due_.empty();
+    }
+    if (!b.starts.empty()) {
+      take_due(b.starts, t);
+      for (const Event& ev : due_) attempt_start(ev.idx, t);
+      played = played || !due_.empty();
+    }
+    if (played) {
+      horizon = t;
+      idle = 0;
+    } else if (++idle == buckets_.size()) {
+      t = earliest_pending() - 1;
+      idle = 0;
+    }
   }
 
   last_subslots_ = horizon;

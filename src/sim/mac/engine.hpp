@@ -9,11 +9,11 @@
 // MacHost callbacks so the engine itself owns no simulation state.
 //
 // Determinism contract: the engine draws only from its own private Rng
-// stream, in event-processing order, and the event queue is totally ordered
-// by (time, end-before-start, insertion sequence) — so a resolve() is a
-// pure function of (config, seed stream position, frame batch). The batch
-// itself is built serially in canonical node order by the simulator, which
-// is what keeps MAC-enabled digests invariant to ExecPolicy.
+// stream, in event-processing order, and events play in (time,
+// end-before-start, insertion order) — so a resolve() is a pure function
+// of (config, seed stream position, frame batch). The batch itself is
+// built serially in canonical node order by the simulator, which is what
+// keeps MAC-enabled digests invariant to ExecPolicy.
 #pragma once
 
 #include <compare>
@@ -81,8 +81,7 @@ class MacHost {
 
 class MacEngine {
  public:
-  MacEngine(const MacConfig& cfg, std::uint64_t seed)
-      : cfg_(cfg), rng_(seed) {}
+  MacEngine(const MacConfig& cfg, std::uint64_t seed);
 
   /// Plays one contention phase to completion. Every frame ends either
   /// delivered or dropped with a cause; per-frame outcome fields and the
@@ -97,28 +96,30 @@ class MacEngine {
   std::int64_t last_phase_subslots() const noexcept { return last_subslots_; }
 
  private:
+  /// A pending frame end or attempt start of frame `idx` at subslot `t`.
   struct Event {
     std::int64_t t = 0;
-    int kind = 0;  ///< 0 = frame-end, 1 = attempt-start (ends first at t)
-    std::uint64_t seq = 0;
     std::uint32_t idx = 0;
-    friend bool operator>(const Event& a, const Event& b) noexcept {
-      if (a.t != b.t) return a.t > b.t;
-      if (a.kind != b.kind) return a.kind > b.kind;
-      return a.seq > b.seq;
-    }
+  };
+  /// The events of one ring position, of every lap, each kind in push
+  /// order. Subslot t plays its ends first, then its starts.
+  struct Bucket {
+    std::vector<Event> ends;
+    std::vector<Event> starts;
   };
 
   std::int64_t cw(int retry) const noexcept;
-  void push(std::int64_t t, int kind, std::uint32_t idx);
-  Event pop();
+  void push(std::vector<Event> Bucket::*kind, std::int64_t t,
+            std::uint32_t idx);
+  /// Moves `list`'s events due at `t` into due_, in push order.
+  void take_due(std::vector<Event>& list, std::int64_t t);
+  std::int64_t earliest_pending() const noexcept;
   void schedule_backoff(std::uint32_t i, std::int64_t t, int retry);
 
   const MacConfig cfg_;
   Rng rng_;  ///< private stream; persists across phases within one run
   MacCounters totals_;
   std::int64_t last_subslots_ = 0;
-  std::uint64_t seq_ = 0;
 
   /// One attempt put on the air: frame `idx` occupies [start, start + air).
   struct Airing {
@@ -133,8 +134,16 @@ class MacEngine {
                             const Contributor&) = default;
   };
 
+  /// The event queue: a ring of buckets indexed by subslot (DESIGN.md
+  /// §14). Every push lands strictly after the subslot being played, so
+  /// a subslot's events are all queued when it starts and play in
+  /// (t, end-before-start, push order) with no comparisons.
+  std::vector<Bucket> buckets_;
+  std::size_t ring_mask_ = 0;  ///< buckets_.size() - 1 (a power of two)
+  std::size_t pending_ = 0;    ///< events queued, all buckets
+
   // Per-phase scratch (grow-only; reused across phases).
-  std::vector<Event> events_;  ///< binary min-heap on (t, kind, seq)
+  std::vector<Event> due_;  ///< the events playing at the current subslot
   std::vector<int> retries_;
   std::vector<std::int32_t> next_of_src_;  ///< same-sender FIFO chains
   std::vector<std::uint32_t> chain_heads_;

@@ -84,6 +84,7 @@ class SimRun {
       // geometry), so unlike fault/mac it folds nothing into any seed and
       // the main stream is untouched whether it is on or off.
       env_.emplace(cfg.env, net.domain());
+      link_memo_.resize(n);
     }
     if (cfg.bs_trajectory.kind != TrajectoryKind::kNone) {
       // Also RNG-free: the sink advances along a closed-form path at round
@@ -263,7 +264,7 @@ class SimRun {
   /// One frame src -> target carrying `bits`, priced at the current
   /// positions (the MAC engine draws its Bernoulli from its own stream).
   MacFrame make_frame(int src, int target, double bits,
-                      std::uint32_t tag) const {
+                      std::uint32_t tag) {
     const double d = dist(src, target);
     MacFrame f;
     f.src = src;
@@ -343,9 +344,13 @@ class SimRun {
 
   /// Plays the staged frame batch through one contention phase, then the
   /// phase's duty-cycle listening: every operational radio listens for
-  /// duty_cycle of each subslot the phase lasted.
+  /// duty_cycle of each subslot the phase lasted. The "mac" span times
+  /// the contention phase alone.
   void mac_resolve(MacHost& host) {
-    mac_->resolve(mac_frames_, host);
+    {
+      obs::PhaseTimer span(tracer_, "mac");
+      mac_->resolve(mac_frames_, host);
+    }
     const double j = cfg_.mac.duty_cycle * cfg_.mac.idle_j_per_subslot *
                      static_cast<double>(mac_->last_phase_subslots());
     if (j > 0.0) drain_operational(EnergyUse::kMac, j);
@@ -429,11 +434,23 @@ class SimRun {
   /// active link-degradation episode times the environment's obstruction
   /// factor. Exactly 1.0 with both off — and for a zero-obstruction enabled
   /// world — which keeps link_attempt on its unscaled branch.
-  double link_scale(int src, int target) const {
-    double scale =
-        env_ ? env_->link_factor(pos_of(src), pos_of(target)) : 1.0;
+  double link_scale(int src, int target) {
+    double scale = env_ ? occlusion(src, target) : 1.0;
     if (fault_) scale *= fault_->link_factor();
     return scale;
+  }
+
+  /// The environment's link factor src -> target, computed once per round
+  /// per sender and target. Contract: pos_of() is fixed from the end of the
+  /// round's election phase to the end of the round. Nodes move only at the
+  /// mobility step and the sink only at the trajectory update, both before
+  /// any link is priced, so a memo stamped with cur_round_ is exact.
+  double occlusion(int src, int target) {
+    LinkMemo& m = link_memo_[static_cast<std::size_t>(src)];
+    if (m.round != cur_round_ || m.target != target)
+      m = LinkMemo{cur_round_, target,
+                   env_->link_factor(pos_of(src), pos_of(target))};
+    return m.factor;
   }
 
   /// One ideal-path channel attempt (main stream). A scale of 1.0 or more
@@ -465,13 +482,21 @@ class SimRun {
   std::optional<SimAuditor> auditor_;  // engaged when cfg.audit.enabled
   std::optional<Environment> env_;     // engaged when cfg.env.enabled
   std::optional<BsTrajectory> traj_;   // engaged when a trajectory is set
+  /// Per sender: the round, target and env factor of its last priced link
+  /// (sized n only when env_ is engaged; see occlusion()).
+  struct LinkMemo {
+    int round = -1;
+    int target = 0;
+    double factor = 1.0;
+  };
+  std::vector<LinkMemo> link_memo_;
 
   // Engaged when cfg.telemetry.enabled; all instrumented sites below guard
   // on these pointers, so the disabled path costs one null test each.
   std::unique_ptr<obs::Telemetry> telemetry_;
   obs::TraceRecorder* tracer_ = nullptr;  // null unless trace_phases
   obs::Counter* retries_ = nullptr;
-  int cur_round_ = -1;  // for events emitted from the packet path
+  int cur_round_ = -1;  // for packet-path events and the link memo
   // Previous-round cumulative totals, for per-round counter deltas.
   struct {
     std::uint64_t generated = 0, delivered = 0;

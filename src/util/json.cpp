@@ -123,11 +123,6 @@ void JsonWriter::value(bool v) {
   out_ += v ? "true" : "false";
 }
 
-void JsonWriter::null() {
-  comma_if_needed();
-  out_ += "null";
-}
-
 void JsonWriter::raw_value(const std::string& json) {
   comma_if_needed();
   out_ += json;

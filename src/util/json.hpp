@@ -46,7 +46,6 @@ class JsonWriter {
   void value(int v) { value(static_cast<long long>(v)); }
   void value(std::size_t v) { value(static_cast<unsigned long long>(v)); }
   void value(bool v);
-  void null();
   /// Splices `json` into the output verbatim (with any needed comma). The
   /// caller guarantees it is a complete, valid JSON value — used to embed a
   /// previously emitted document (e.g. a baseline BENCH file) unparsed —

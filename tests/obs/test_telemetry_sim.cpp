@@ -135,6 +135,65 @@ TEST(TelemetrySim, MetricsExportAgreesWithSimResult) {
   }
 }
 
+TEST(TelemetrySim, MacSpansNestInTransmissionAndUplink) {
+  // Each contention phase records one "mac" span: inside "transmission"
+  // for the member frames of a slot, inside "uplink" for the head chains.
+  // A run without the MAC records none.
+  for (const bool mac : {true, false}) {
+    const std::string path = "test_telemetry_mac_trace.json";
+    ExperimentConfig cfg = small_config();
+    cfg.seeds = 1;
+    cfg.sim.mac.enabled = mac;
+    cfg.sim.telemetry.enabled = true;
+    cfg.sim.telemetry.sink = obs::TelemetryOptions::Sink::kNull;
+    cfg.sim.telemetry.trace_phases = true;
+    cfg.sim.telemetry.trace_path = path;
+    run_replications("qlec", cfg);
+
+    std::string err;
+    const auto doc = parse_json(slurp(path), &err);
+    std::remove(path.c_str());
+    ASSERT_TRUE(doc.has_value()) << err;
+    struct Span {
+      std::string name;
+      double begin, end;
+      int round;
+    };
+    std::vector<Span> spans;
+    const JsonValue& events = *doc->get("traceEvents");
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const JsonValue& e = events.at(i);
+      const double ts = e.get("ts")->as_double();
+      spans.push_back({e.get("name")->as_string(), ts,
+                       ts + e.get("dur")->as_double(),
+                       static_cast<int>(
+                           e.get("args")->get("round")->as_double())});
+    }
+    std::size_t in_transmission = 0, in_uplink = 0, mac_spans = 0;
+    for (const Span& m : spans) {
+      if (m.name != "mac") continue;
+      ++mac_spans;
+      // The enclosing phase of the same round; ts and dur are rounded
+      // microseconds, hence the slack.
+      for (const Span& p : spans) {
+        if (p.round != m.round || p.begin > m.begin + 1e-3 ||
+            m.end > p.end + 1e-3)
+          continue;
+        in_transmission += p.name == "transmission";
+        in_uplink += p.name == "uplink";
+      }
+    }
+    if (!mac) {
+      EXPECT_EQ(mac_spans, 0u);
+      continue;
+    }
+    EXPECT_GT(in_transmission, 0u);
+    EXPECT_GT(in_uplink, 0u);
+    EXPECT_EQ(in_transmission + in_uplink, mac_spans)
+        << "every mac span lies in exactly one of the two phases";
+  }
+}
+
 TEST(TelemetrySim, SeedSuffixRewritesPathsBeforeTheExtension) {
   obs::TelemetryOptions opts;
   opts.events_path = "out/ev.jsonl";

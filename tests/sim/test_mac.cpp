@@ -615,16 +615,38 @@ Vec3 draw_sender(Rng& rng, double r, const std::vector<Vec3>& earlier) {
   }
 }
 
+/// Half the configs are small windows; the rest reach past the engine's
+/// 1024-subslot bucket ring (windows into the thousands, cw_max below
+/// cw_min, airtime above cw_max), so events wait out laps in their bucket
+/// and the timeline jumps over laps with nothing due.
 MacConfig draw_config(Rng& rng) {
   static constexpr double kReach[] = {150.0, 37.5, 0.3, 1.0 / 3.0, 1000.0};
   MacConfig cfg;
   cfg.enabled = true;
   cfg.cca_range = kReach[rng.uniform_int(std::size(kReach))];
-  cfg.airtime_subslots = static_cast<int>(1 + rng.uniform_int(4));
   cfg.max_retries = static_cast<int>(rng.uniform_int(5));
-  cfg.cw_min = static_cast<int>(1 + rng.uniform_int(8));
-  cfg.cw_max = 1 << rng.uniform_int(7);
   cfg.capture_ratio = 1.0 + static_cast<double>(rng.uniform_int(4));
+  const auto draw = [&](int lo, int span) {
+    return lo + static_cast<int>(
+                    rng.uniform_int(static_cast<std::uint64_t>(span)));
+  };
+  switch (rng.uniform_int(4)) {
+    case 0:  // wide doubling windows
+      cfg.airtime_subslots = draw(1, 4);
+      cfg.cw_min = draw(500, 4000);
+      cfg.cw_max = cfg.cw_min << rng.uniform_int(4);
+      break;
+    case 1:  // cw_max pins the window below cw_min; airtime beyond both
+      cfg.cw_max = draw(1, 3000);
+      cfg.cw_min = cfg.cw_max + draw(1, 3000);
+      cfg.airtime_subslots = cfg.cw_min + draw(1, 3000);
+      break;
+    default:
+      cfg.airtime_subslots = draw(1, 4);
+      cfg.cw_min = draw(1, 8);
+      cfg.cw_max = 1 << rng.uniform_int(7);
+      break;
+  }
   return cfg;
 }
 
@@ -840,6 +862,60 @@ TEST(MacEngineOracle, InterferenceSumsInGridOrder) {
         << "the probe frame must be the only interfered reception";
   }
   EXPECT_TRUE(built) << "no sender layout split the two summation orders";
+}
+
+TEST(MacEngine, DueEndsPlayBeforeDueStartsEachInPushOrder) {
+  // Three isolated cells X, Y, Z; frames 0 and 2 share X, 1 and 4 share Y.
+  // At subslot 0 frames 0, 1, 3 go on the air and 2, 4 hear a neighbour
+  // and back off exactly one subslot (cw = 1). Subslot 1 then holds three
+  // ends and two starts: the ends must play first, in push order, so the
+  // medium is clear when 2 and 4 sense it.
+  constexpr double r = 10.0;
+  const Vec3 x{0.0, 0.0, 0.0}, y{1000.0, 0.0, 0.0}, z{2000.0, 0.0, 0.0};
+  const std::pair<int, Vec3> senders[] = {{0, x}, {2, y}, {1, x}, {4, z},
+                                          {3, y}};
+  std::vector<MacFrame> batch;
+  for (const auto& [src, pos] : senders) {
+    MacFrame f;
+    f.src = src;
+    f.tag = static_cast<std::uint32_t>(batch.size());
+    f.src_pos = pos;
+    f.dst_pos = pos;
+    batch.push_back(f);
+  }
+  MacConfig cfg;
+  cfg.enabled = true;
+  cfg.cca_range = r;
+  cfg.airtime_subslots = 1;
+  cfg.cw_min = 1;
+  cfg.cw_max = 1;
+  cfg.max_retries = 1;
+
+  std::vector<MacFrame> frames = batch;
+  ScriptedHost host(1, ScriptedHost::Odds{});
+  MacEngine engine(cfg, 9);
+  engine.resolve(frames, host);
+  using C = ScriptedHost::Call;
+  const auto start = [](std::uint32_t k) {
+    return std::vector<C>{{'u', k, 1}, {'a', k, 0}};
+  };
+  const auto end = [](std::uint32_t k) {
+    return std::vector<C>{{'l', k, 1}, {'d', k, 1}, {'f', k, 1}};
+  };
+  std::vector<C> want;
+  for (const auto& part :
+       {start(0), start(1), {C{'u', 2, 1}}, start(3), {C{'u', 4, 1}},
+        end(0), end(1), end(3), start(2), start(4), end(2), end(4)})
+    want.insert(want.end(), part.begin(), part.end());
+  EXPECT_EQ(host.calls, want);
+  EXPECT_EQ(engine.totals().cca_busy, 2u);
+  EXPECT_EQ(engine.totals().tx_attempts, 5u);
+  EXPECT_EQ(engine.last_phase_subslots(), 2);
+  for (const MacFrame& f : frames) EXPECT_TRUE(f.delivered) << f.tag;
+
+  GridMacEngine oracle(cfg, 9);
+  MacEngine again(cfg, 9);
+  expect_same_phase(oracle, again, batch, 1, ScriptedHost::Odds{}, "script");
 }
 
 TEST(MacEngine, LossCauseNamesAreTotal) {

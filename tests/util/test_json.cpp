@@ -42,7 +42,7 @@ TEST(JsonWriter, FlatObject) {
   j.key("ok");
   j.value(true);
   j.key("missing");
-  j.null();
+  j.raw_value("null");
   j.end_object();
   EXPECT_EQ(j.str(),
             "{\"name\":\"qlec\",\"pdr\":0.5,\"count\":42,\"ok\":true,"
@@ -180,7 +180,7 @@ TEST(JsonParser, RoundTripsWriterOutput) {
   j.key("tags");
   j.begin_array();
   j.value(true);
-  j.null();
+  j.raw_value("null");
   j.end_array();
   j.end_object();
 
