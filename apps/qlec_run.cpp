@@ -106,6 +106,9 @@ int main(int argc, char** argv) {
                args.has("help") ? stdout : stderr);
     return args.has("help") ? 0 : 2;
   }
+  // Read before the error check, so a bad value exits 2.
+  const long long jobs = args.get_int(
+      "jobs", static_cast<long long>(env::run_jobs()), 0);
   if (!args.errors().empty()) {
     for (const std::string& key : args.errors())
       std::fprintf(stderr, "qlec_run: bad value for --%s\n", key.c_str());
@@ -142,8 +145,6 @@ int main(int argc, char** argv) {
       cell.config.sim.audit.enabled = true;
       cell.config.sim.audit.throw_on_violation = true;
     }
-    cell.config.sim.telemetry =
-        obs::Telemetry::from_env(cell.config.sim.telemetry);
   }
 
   if (args.has("dry-run")) {
@@ -159,13 +160,8 @@ int main(int argc, char** argv) {
   }
 
   ExecPolicy exec = ExecPolicy::serial();
-  if (!args.has("serial")) {
-    const std::size_t jobs = args.has("jobs")
-                                 ? static_cast<std::size_t>(
-                                       args.get_int("jobs", 0))
-                                 : env::run_jobs();
-    if (args.has("jobs") || jobs > 0) exec = ExecPolicy::pool(jobs);
-  }
+  if (!args.has("serial") && (args.has("jobs") || jobs > 0))
+    exec = ExecPolicy::pool(static_cast<std::size_t>(jobs));
 
   // The manifest, CSV and digests are the same at any --jobs (run_grid).
   // An optional content-addressed cache replays a cell whose key is

@@ -50,24 +50,27 @@ int main(int argc, char** argv) {
     std::fputs(render_usage("qlec_serve", kOptions).c_str(), stdout);
     return 0;
   }
+
+  // Counts are non-negative and ports fit in 16 bits; every numeric option
+  // is read before the error check, so a bad value exits 2.
+  serve::ServiceOptions opts;
+  opts.workers = static_cast<std::size_t>(args.get_int(
+      "workers", static_cast<long long>(env::serve_workers()), 0));
+  opts.cache_dir = args.get_string("cache", env::serve_cache());
+  opts.telemetry_dir = args.get_string("telemetry-dir", "");
+  opts.max_cells =
+      static_cast<std::size_t>(args.get_int("max-cells", 10000, 0));
+
+  const std::string host = args.get_string("host", "127.0.0.1");
+  const auto port =
+      static_cast<std::uint16_t>(args.get_int("port", 8423, 0, 65535));
+  const auto http_workers =
+      static_cast<std::size_t>(args.get_int("http-workers", 4, 0));
   if (!args.errors().empty()) {
     for (const std::string& key : args.errors())
       std::fprintf(stderr, "qlec_serve: bad value for --%s\n", key.c_str());
     return 2;
   }
-
-  serve::ServiceOptions opts;
-  opts.workers = static_cast<std::size_t>(
-      args.get_int("workers", static_cast<long long>(env::serve_workers())));
-  opts.cache_dir = args.get_string("cache", env::serve_cache());
-  opts.telemetry_dir = args.get_string("telemetry-dir", "");
-  opts.max_cells =
-      static_cast<std::size_t>(args.get_int("max-cells", 10000));
-
-  const std::string host = args.get_string("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(args.get_int("port", 8423));
-  const auto http_workers =
-      static_cast<std::size_t>(args.get_int("http-workers", 4));
 
   // The daemon runs until SIGINT/SIGTERM; block them before any thread is
   // spawned so the signal is always delivered to this sigwait.

@@ -88,6 +88,8 @@ int main(int argc, char** argv) {
                args.has("help") ? stdout : stderr);
     return args.has("help") ? 0 : 2;
   }
+  // Read before the error check, so a bad value exits 2.
+  const long long priority = args.get_int("priority", 0);
   if (!args.errors().empty()) {
     for (const std::string& key : args.errors())
       std::fprintf(stderr, "qlec_submit: bad value for --%s\n", key.c_str());
@@ -129,7 +131,6 @@ int main(int argc, char** argv) {
   // lifecycle (202 -> status -> manifest) and gives us the cached count for
   // --expect-cached.
   std::string target = "/v1/runs";
-  const long long priority = args.get_int("priority", 0);
   if (priority != 0) target += "?priority=" + std::to_string(priority);
   const serve::ClientResponse submitted =
       request("POST", target, *scenario);

@@ -6,9 +6,10 @@
 // k_opt prediction. Exits nonzero if any artifact fails to parse, so CI
 // can use it as a smoke test.
 //
-// Output paths default to obs_events.jsonl / obs_trace.json /
-// obs_metrics.json in the working directory; the QLEC_TELEMETRY_* env
-// knobs override them (Telemetry::from_env).
+// The artifacts are written to obs_events.jsonl / obs_trace.json /
+// obs_metrics.json in the working directory. To get the same artifacts
+// from any scenario, set sim.telemetry.* with qlec_run --set
+// (OBSERVABILITY.md).
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -40,7 +41,7 @@ std::string slurp(const std::string& path) {
 int main() {
   using namespace qlec;
 
-  // --- Configure: file sinks for all three artifacts, env on top. ---
+  // --- Configure: file sinks for all three artifacts. ---
   obs::TelemetryOptions topt;
   topt.enabled = true;
   topt.sink = obs::TelemetryOptions::Sink::kFile;
@@ -48,7 +49,6 @@ int main() {
   topt.trace_phases = true;
   topt.trace_path = "obs_trace.json";
   topt.metrics_path = "obs_metrics.json";
-  topt = obs::Telemetry::from_env(topt);
 
   ScenarioConfig scenario;  // the paper's §5.1 deployment
   Rng net_rng(7);

@@ -30,7 +30,8 @@ struct Job {
   /// Set on kDone; shared with the ResultStore entry when there is one.
   std::shared_ptr<const CellResult> result;
   std::exception_ptr error;
-  /// Best-effort mid-run cancel; run_cell polls it between seeds.
+  /// Best-effort mid-run cancel; run_replications polls it before each
+  /// serial seed.
   std::atomic<bool> cancel_requested{false};
 };
 

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 #include <utility>
 
 #include "config/jobs.hpp"
 #include "config/reader.hpp"
 #include "config/version.hpp"
-#include "obs/telemetry.hpp"
 
 namespace qlec::config {
 namespace {
@@ -186,32 +184,14 @@ CellResult run_cell(const SweepCell& cell, const ExecPolicy& exec,
   r.label = cell.label;
   r.config = cell.config;
   const ExperimentConfig& cfg = cell.config;
-  const auto add_run = [&r, &cfg](const SimResult& run) {
+  const std::vector<SimResult> runs =
+      run_replications(cfg.protocol.name, cfg, exec, cancel);
+  // Fewer runs than seeds: the flag stopped the serial loop early.
+  if (runs.size() < cfg.seeds) throw JobCancelled();
+  for (const SimResult& run : runs) {
     r.metrics.add(run);
     if (cfg.sim.trace.record) r.digests.push_back(trace_digest_hex(run.trace));
-  };
-  if (exec.is_serial() && cancel != nullptr) {
-    // Seed-at-a-time so the cancellation flag is honored between
-    // replications. Bit-identical to the batch path: replication i always
-    // runs seed base_seed + i, and the per-seed telemetry suffix is applied
-    // exactly when the batch path would apply it.
-    for (std::size_t s = 0; s < cfg.seeds; ++s) {
-      if (cancel->load(std::memory_order_relaxed)) throw JobCancelled();
-      ExperimentConfig one = cfg;
-      one.seeds = 1;
-      one.base_seed = cfg.base_seed + s;
-      if (cfg.seeds > 1 && cfg.sim.telemetry.enabled)
-        one.sim.telemetry =
-            obs::Telemetry::with_seed_suffix(cfg.sim.telemetry, s);
-      for (const SimResult& run :
-           run_replications(one.protocol.name, one, ExecPolicy::serial()))
-        add_run(run);
-    }
-    return r;
   }
-  for (const SimResult& run :
-       run_replications(cfg.protocol.name, cfg, exec))
-    add_run(run);
   return r;
 }
 
@@ -226,11 +206,7 @@ RunManifest run_grid(const std::vector<SweepCell>& cells,
   if (exec.is_pool() && cells.size() == 1) {
     opts.within_cell = exec;
   } else if (exec.is_pool()) {
-    const std::size_t jobs =
-        exec.threads() > 0
-            ? exec.threads()
-            : std::max(1u, std::thread::hardware_concurrency());
-    opts.workers = std::min(jobs, cells.size());
+    opts.workers = std::min(exec.width(), cells.size());
   }
   JobRunner runner(opts);
   std::vector<JobHandle> handles;

@@ -56,9 +56,10 @@ RunManifest run_grid(const std::vector<SweepCell>& cells,
                                       std::size_t total) = nullptr);
 
 /// Runs one cell under `exec` — the unit the job layer schedules. When
-/// `cancel` is non-null and `exec` is serial, it is checked between seed
-/// replications; observing it abandons the cell by throwing (the job layer
-/// maps that to JobState::kCancelled, and nothing reaches any cache).
+/// `cancel` is non-null and `exec` is serial, run_replications polls it
+/// before each seed; observing it abandons the cell by throwing
+/// JobCancelled (the job layer maps that to JobState::kCancelled, and
+/// nothing reaches any cache).
 CellResult run_cell(const SweepCell& cell,
                     const ExecPolicy& exec = ExecPolicy::serial(),
                     const std::atomic<bool>* cancel = nullptr);

@@ -2,8 +2,6 @@
 
 #include <fstream>
 
-#include "util/env.hpp"
-
 namespace qlec::obs {
 namespace {
 
@@ -47,29 +45,6 @@ void Telemetry::flush() {
     std::ofstream out(opts_.metrics_path);
     if (out) out << metrics_.to_json() << "\n";
   }
-}
-
-TelemetryOptions Telemetry::from_env(TelemetryOptions base) {
-  if (env::telemetry()) base.enabled = true;
-  const std::string events = env::telemetry_events();
-  if (!events.empty()) {
-    base.enabled = true;
-    base.sink = TelemetryOptions::Sink::kFile;
-    base.events_path = events;
-  }
-  const std::string trace = env::telemetry_trace();
-  if (!trace.empty()) {
-    base.enabled = true;
-    base.trace_phases = true;
-    base.trace_path = trace;
-  }
-  const std::string metrics = env::telemetry_metrics();
-  if (!metrics.empty()) {
-    base.enabled = true;
-    base.metrics_path = metrics;
-  }
-  if (env::telemetry_verbose()) base.per_packet_events = true;
-  return base;
 }
 
 TelemetryOptions Telemetry::with_seed_suffix(TelemetryOptions opts,

@@ -81,11 +81,6 @@ class Telemetry {
   /// paths are configured. Idempotent; also runs at destruction.
   void flush();
 
-  /// Applies the QLEC_TELEMETRY* environment knobs (util/env.hpp) on top of
-  /// `base`: QLEC_TELEMETRY=1 enables, QLEC_TELEMETRY_EVENTS/_TRACE/_METRICS
-  /// set file outputs, QLEC_TELEMETRY_VERBOSE=1 turns on per-packet events.
-  static TelemetryOptions from_env(TelemetryOptions base = {});
-
   /// Rewrites every output path for replication `seed_index` by inserting
   /// ".seed<k>" before the extension ("ev.jsonl" -> "ev.seed3.jsonl"), so
   /// pool-mode seeds never interleave within one file.

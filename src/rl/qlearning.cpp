@@ -2,59 +2,10 @@
 
 namespace qlec {
 
-double expected_q(const std::vector<Branch>& branches, double gamma) {
-  double r = 0.0;
-  double v = 0.0;
-  for (const Branch& b : branches) {
-    r += b.probability * b.reward;
-    v += b.probability * b.next_value;
-  }
-  return r + gamma * v;
-}
-
 double TwoOutcomeTransition::q_value(double gamma) const noexcept {
   const double p = p_success;
   const double rt = p * reward_success + (1.0 - p) * reward_failure;
   return rt + gamma * (p * v_success + (1.0 - p) * v_failure);
-}
-
-TabularQLearner::TabularQLearner(std::size_t states, std::size_t actions,
-                                 Config cfg)
-    : cfg_(cfg), q_(states, actions, cfg.initial_q) {}
-
-std::size_t TabularQLearner::select_action(std::size_t state,
-                                           Rng& rng) const {
-  if (rng.bernoulli(cfg_.epsilon))
-    return rng.uniform_int(static_cast<std::uint64_t>(q_.actions()));
-  return q_.best_action(state);
-}
-
-double TabularQLearner::update(std::size_t s, std::size_t a, double reward,
-                               std::size_t s2, bool terminal) {
-  const double bootstrap = terminal ? 0.0 : cfg_.gamma * q_.max_q(s2);
-  const double delta = q_.blend(s, a, reward + bootstrap, cfg_.alpha);
-  tracker_.record(delta);
-  if (updates_metric_ != nullptr) updates_metric_->inc();
-  if (delta_metric_ != nullptr) delta_metric_->set(delta);
-  return delta;
-}
-
-std::size_t train_episodes(TabularQLearner& learner, const StepFn& step,
-                           std::size_t start_state, std::size_t episodes,
-                           std::size_t max_steps, Rng& rng) {
-  std::size_t updates = 0;
-  for (std::size_t e = 0; e < episodes; ++e) {
-    std::size_t s = start_state;
-    for (std::size_t t = 0; t < max_steps; ++t) {
-      const std::size_t a = learner.select_action(s, rng);
-      const StepResult res = step(s, a, rng);
-      learner.update(s, a, res.reward, res.next_state, res.terminal);
-      ++updates;
-      if (res.terminal) break;
-      s = res.next_state;
-    }
-  }
-  return updates;
 }
 
 }  // namespace qlec

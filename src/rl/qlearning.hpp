@@ -1,41 +1,15 @@
-// Tabular Q-learning over a finite MDP.
-//
-// Two update styles are provided:
-//  * TabularQLearner — classic sample-based off-policy update with an
-//    epsilon-greedy behaviour policy (textbook Q-learning, Sutton & Barto);
-//    used by tests and as a library-quality general solver.
-//  * expected_q / TwoOutcomeTransition — the *model-based* one-step backup
-//    the paper actually uses (Eq. 15): the agent knows/estimates transition
-//    probabilities (from ACK statistics) and computes
-//    Q*(s,a) = R_t + gamma * sum_s' P(s'|s,a) V*(s') directly instead of
-//    sampling. QLEC's MDP has exactly two successors per action (delivery
-//    succeeded -> h_j, failed -> stay at b_i), captured by
-//    TwoOutcomeTransition.
+// The model-based one-step Q backup the paper uses (Eq. 15): the agent
+// estimates transition probabilities (from ACK statistics) and computes
+// Q*(s,a) = R_t + gamma * sum_s' P(s'|s,a) V*(s') directly instead of
+// sampling. QLEC's MDP has exactly two successors per action (delivery
+// succeeded -> h_j, failed -> stay at b_i), captured by
+// TwoOutcomeTransition. rl/value_iteration.hpp is the exact reference it is
+// validated against.
 #pragma once
-
-#include <cstddef>
-#include <functional>
-#include <vector>
-
-#include "obs/metrics.hpp"
-#include "rl/convergence.hpp"
-#include "rl/qtable.hpp"
-#include "util/rng.hpp"
 
 namespace qlec {
 
-/// A (probability, reward, next-state-value) successor branch.
-struct Branch {
-  double probability = 0.0;
-  double reward = 0.0;
-  double next_value = 0.0;  // V*(s') estimate
-};
-
-/// Eq. 15 backup for an arbitrary successor set:
-/// Q = sum_i p_i r_i + gamma * sum_i p_i v_i.
-double expected_q(const std::vector<Branch>& branches, double gamma);
-
-/// The QLEC special case: one action, two outcomes (success / stay-put).
+/// The QLEC backup: one action, two outcomes (success / stay-put).
 struct TwoOutcomeTransition {
   double p_success = 1.0;     ///< P^{a_j}_{b_i h_j}
   double reward_success = 0;  ///< R^{a_j}_{b_i h_j} (Eq. 17 / 19)
@@ -47,61 +21,5 @@ struct TwoOutcomeTransition {
   /// R_t = p r_s + (1-p) r_f   (Eq. 16 substituted into Eq. 15).
   double q_value(double gamma) const noexcept;
 };
-
-/// Classic sample-based tabular Q-learning.
-class TabularQLearner {
- public:
-  struct Config {
-    double gamma = 0.95;
-    double alpha = 0.1;
-    double epsilon = 0.1;     ///< behaviour-policy exploration rate
-    double initial_q = 0.0;
-  };
-
-  TabularQLearner(std::size_t states, std::size_t actions, Config cfg);
-
-  /// Epsilon-greedy action selection.
-  std::size_t select_action(std::size_t state, Rng& rng) const;
-  /// One-step update from an observed transition; returns |Q delta|.
-  double update(std::size_t s, std::size_t a, double reward, std::size_t s2,
-                bool terminal);
-
-  const QTable& table() const noexcept { return q_; }
-  QTable& table() noexcept { return q_; }
-  const Config& config() const noexcept { return cfg_; }
-  const ConvergenceTracker& convergence() const noexcept { return tracker_; }
-
-  /// Optional telemetry binding (nullptrs detach): `updates` counts every
-  /// update() call, `last_delta` tracks the most recent |Q delta|. Purely
-  /// observational; the caller owns both instruments (obs::MetricsRegistry
-  /// references stay valid for the registry's lifetime).
-  void bind_metrics(obs::Counter* updates, obs::Gauge* last_delta) noexcept {
-    updates_metric_ = updates;
-    delta_metric_ = last_delta;
-  }
-
- private:
-  Config cfg_;
-  QTable q_;
-  ConvergenceTracker tracker_{1e-6, 16};
-  obs::Counter* updates_metric_ = nullptr;
-  obs::Gauge* delta_metric_ = nullptr;
-};
-
-/// Environment callback signature for `train_episodes`: given (state,
-/// action, rng) produce (reward, next_state, terminal).
-struct StepResult {
-  double reward = 0.0;
-  std::size_t next_state = 0;
-  bool terminal = false;
-};
-using StepFn =
-    std::function<StepResult(std::size_t state, std::size_t action, Rng&)>;
-
-/// Runs `episodes` episodes of at most `max_steps` each, starting each from
-/// `start_state`. Returns the total number of updates performed.
-std::size_t train_episodes(TabularQLearner& learner, const StepFn& step,
-                           std::size_t start_state, std::size_t episodes,
-                           std::size_t max_steps, Rng& rng);
 
 }  // namespace qlec

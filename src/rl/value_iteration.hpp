@@ -1,6 +1,6 @@
 // Exact dynamic-programming solver for finite MDPs. Used to validate the
-// sample-based and model-based Q updates against ground truth (Bellman
-// optimality, Eq. 13-15 of the paper) on small instances.
+// model-based Q backup (TwoOutcomeTransition, QlecRouter) against ground
+// truth (Bellman optimality, Eq. 13-15 of the paper) on small instances.
 #pragma once
 
 #include <cstddef>

@@ -13,7 +13,8 @@ Network build_network(const ExperimentConfig& cfg, std::uint64_t seed) {
 
 std::vector<SimResult> run_replications(const std::string& protocol_name,
                                         const ExperimentConfig& cfg,
-                                        const ExecPolicy& exec) {
+                                        const ExecPolicy& exec,
+                                        const std::atomic<bool>* stop) {
   std::vector<SimResult> results(cfg.seeds);
   // Protocols and simulator must agree on what "dead" means; the sim's
   // death line is authoritative for the whole experiment.
@@ -36,10 +37,16 @@ std::vector<SimResult> run_replications(const std::string& protocol_name,
     results[i] = run_simulation(net, *protocol, cfg.sim, rng);
   };
   if (cfg.seeds > 1 && exec.is_pool()) {
-    ThreadPool local(exec.threads());
+    ThreadPool local(std::min(exec.width(), cfg.seeds));
     local.parallel_for(cfg.seeds, run_one);
-  } else {
-    for (std::size_t i = 0; i < cfg.seeds; ++i) run_one(i);
+    return results;
+  }
+  for (std::size_t i = 0; i < cfg.seeds; ++i) {
+    if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
+      results.resize(i);
+      break;
+    }
+    run_one(i);
   }
   return results;
 }

@@ -4,8 +4,11 @@
 // managed pool).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/metrics.hpp"
@@ -52,6 +55,11 @@ class ExecPolicy {
   bool is_pool() const noexcept { return mode_ == Mode::kPool; }
   /// Requested pool width (kPool only); 0 = hardware default.
   std::size_t threads() const noexcept { return threads_; }
+  /// threads() with the hardware default resolved (at least 1).
+  std::size_t width() const noexcept {
+    return threads_ > 0 ? threads_
+                        : std::max(1u, std::thread::hardware_concurrency());
+  }
 
  private:
   enum class Mode { kSerial, kPool };
@@ -60,10 +68,14 @@ class ExecPolicy {
 };
 
 /// Runs `cfg.seeds` independent replications of `protocol_name` and returns
-/// per-seed results (index == seed offset).
+/// per-seed results (index == seed offset). A pool never runs more threads
+/// than there are seeds. When `stop` is non-null and the seeds run serially,
+/// it is polled before each seed: once it reads true the run ends early and
+/// returns only the replications already finished.
 std::vector<SimResult> run_replications(
     const std::string& protocol_name, const ExperimentConfig& cfg,
-    const ExecPolicy& exec = ExecPolicy::serial());
+    const ExecPolicy& exec = ExecPolicy::serial(),
+    const std::atomic<bool>* stop = nullptr);
 
 /// Convenience: replications + aggregation.
 AggregatedMetrics run_experiment(const std::string& protocol_name,

@@ -74,13 +74,14 @@ double CliArgs::get_double(const std::string& key, double fallback) const {
   return fallback;
 }
 
-long long CliArgs::get_int(const std::string& key, long long fallback) const {
+long long CliArgs::get_int(const std::string& key, long long fallback,
+                           long long min, long long max) const {
   const auto v = get(key);
   if (!v) return fallback;
   try {
     std::size_t pos = 0;
     const long long out = std::stoll(*v, &pos);
-    if (pos == v->size()) return out;
+    if (pos == v->size() && out >= min && out <= max) return out;
   } catch (...) {
   }
   errors_.push_back(key);

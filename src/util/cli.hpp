@@ -3,6 +3,7 @@
 // auto-generated usage string.
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -31,7 +32,11 @@ class CliArgs {
   /// Numeric getters return the fallback on missing OR unparseable values
   /// (an unparseable value also records the key in `errors()`).
   double get_double(const std::string& key, double fallback) const;
-  long long get_int(const std::string& key, long long fallback) const;
+  /// An integer outside [min, max] counts as unparseable.
+  long long get_int(const std::string& key, long long fallback,
+                    long long min = std::numeric_limits<long long>::min(),
+                    long long max =
+                        std::numeric_limits<long long>::max()) const;
   /// "1", "true", "yes", "on" (case-insensitive) => true.
   bool get_bool(const std::string& key, bool fallback) const;
 

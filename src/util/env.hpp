@@ -14,14 +14,13 @@
 //   QLEC_SERVE_WORKERS=<n>   default scheduler width for qlec_serve
 //                            (0/unset = hardware concurrency)
 //   QLEC_SIMD=<backend>      force a qlec::simd kernel backend
-//                            (scalar|sse2|avx2|auto); parsed by
+//                            (scalar|avx2|auto); parsed by
 //                            util/simd.cpp, falls back to the best
-//                            available backend when unavailable
-//   QLEC_TELEMETRY=1         enable the obs/ telemetry layer (ring sink)
-//   QLEC_TELEMETRY_EVENTS=<p>  write JSONL events to <p> (implies enabled)
-//   QLEC_TELEMETRY_TRACE=<p>   write a Chrome trace_event JSON to <p>
-//   QLEC_TELEMETRY_METRICS=<p> write the end-of-run metrics JSON to <p>
-//   QLEC_TELEMETRY_VERBOSE=1 also emit per-packet events (retry, q_update)
+//                            available backend when unavailable or
+//                            unrecognized
+//
+// Telemetry has no env knob: its one home is the config schema's
+// sim.telemetry.* (a scenario file, or qlec_run --set).
 #pragma once
 
 #include <cstdlib>
@@ -67,21 +66,6 @@ inline std::size_t bench_seeds(std::size_t def = 5) {
 
 /// QLEC_REGEN_GOLDEN: rewrite the committed golden-trace digests.
 inline bool regen_golden() { return flag("QLEC_REGEN_GOLDEN"); }
-
-/// QLEC_TELEMETRY: enable the obs/ telemetry layer with in-memory sinks.
-inline bool telemetry() { return flag("QLEC_TELEMETRY"); }
-
-/// QLEC_TELEMETRY_EVENTS: JSONL event output path (implies enabled).
-inline std::string telemetry_events() { return str("QLEC_TELEMETRY_EVENTS"); }
-
-/// QLEC_TELEMETRY_TRACE: Chrome trace_event JSON output path.
-inline std::string telemetry_trace() { return str("QLEC_TELEMETRY_TRACE"); }
-
-/// QLEC_TELEMETRY_METRICS: end-of-run metrics JSON output path.
-inline std::string telemetry_metrics() { return str("QLEC_TELEMETRY_METRICS"); }
-
-/// QLEC_TELEMETRY_VERBOSE: per-packet events (retry, q_update) too.
-inline bool telemetry_verbose() { return flag("QLEC_TELEMETRY_VERBOSE"); }
 
 /// QLEC_RUN_JOBS: default qlec_run --jobs width, cells at once or one
 /// cell's seeds (0 = serial, the safe default; explicit --jobs/--serial

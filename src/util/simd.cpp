@@ -1,6 +1,6 @@
-// Backend selection for qlec::simd. The scalar table is the oracle; SSE2 and
-// AVX2 tables live in their own TUs (simd_sse2.cpp, simd_avx2.cpp) so each
-// can be compiled with its own ISA flags while this TU stays baseline.
+// Backend selection for qlec::simd. The scalar table is the oracle; the
+// AVX2 table lives in its own TU (simd_avx2.cpp) so it can be compiled with
+// its own ISA flags while this TU stays baseline.
 #include "util/simd.hpp"
 
 #include <atomic>
@@ -12,11 +12,6 @@
 namespace qlec::simd {
 namespace {
 
-void scalar_dist2(const double* xs, const double* ys, const double* zs,
-                  std::size_t n, double cx, double cy, double cz,
-                  double* out) {
-  detail::dist2_range(xs, ys, zs, 0, n, cx, cy, cz, out);
-}
 void scalar_dist(const double* xs, const double* ys, const double* zs,
                  std::size_t n, double cx, double cy, double cz, double* out) {
   detail::dist_range(xs, ys, zs, 0, n, cx, cy, cz, out);
@@ -24,10 +19,6 @@ void scalar_dist(const double* xs, const double* ys, const double* zs,
 void scalar_amp(const double* d, std::size_t n, double bits, double eps_fs,
                 double eps_mp, double d0, double* out) {
   detail::amp_range(d, 0, n, bits, eps_fs, eps_mp, d0, out);
-}
-void scalar_tx(const double* d, std::size_t n, double bits, double e_elec,
-               double eps_fs, double eps_mp, double d0, double* out) {
-  detail::tx_range(d, 0, n, bits, e_elec, eps_fs, eps_mp, d0, out);
 }
 void scalar_scale_div(const double* num, std::size_t n, double denom,
                       double* out) {
@@ -40,9 +31,8 @@ void scalar_q_scan(const double* p, const double* y, const double* x_t,
 }
 
 constexpr Kernels kScalarTable{
-    scalar_dist2,     scalar_dist,
-    scalar_amp,       scalar_tx,
-    scalar_scale_div, scalar_q_scan,
+    scalar_dist,          scalar_amp,
+    scalar_scale_div,     scalar_q_scan,
     detail::argmax_range, detail::argmin_range,
 };
 
@@ -50,8 +40,6 @@ const Kernels* table_for(Backend b) noexcept {
   switch (b) {
     case Backend::kScalar:
       return &kScalarTable;
-    case Backend::kSse2:
-      return detail::sse2_table();
     case Backend::kAvx2:
       return detail::avx2_table();
   }
@@ -63,8 +51,6 @@ bool cpu_supports(Backend b) noexcept {
   switch (b) {
     case Backend::kScalar:
       return true;
-    case Backend::kSse2:
-      return true;  // part of the x86-64 baseline
     case Backend::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
   }
@@ -74,7 +60,6 @@ bool cpu_supports(Backend b) noexcept {
 
 Backend best_available() noexcept {
   if (available(Backend::kAvx2)) return Backend::kAvx2;
-  if (available(Backend::kSse2)) return Backend::kSse2;
   return Backend::kScalar;
 }
 
@@ -84,12 +69,10 @@ Backend resolve_from_env() noexcept {
   Backend want = Backend::kScalar;
   if (req == "scalar") {
     want = Backend::kScalar;
-  } else if (req == "sse2") {
-    want = Backend::kSse2;
   } else if (req == "avx2") {
     want = Backend::kAvx2;
   } else {
-    log::warn("QLEC_SIMD=", req, " not recognized (scalar|sse2|avx2|auto); ",
+    log::warn("QLEC_SIMD=", req, " not recognized (scalar|avx2|auto); ",
               "using ", backend_name(best_available()));
     return best_available();
   }
@@ -117,8 +100,6 @@ const char* backend_name(Backend b) noexcept {
   switch (b) {
     case Backend::kScalar:
       return "scalar";
-    case Backend::kSse2:
-      return "sse2";
     case Backend::kAvx2:
       return "avx2";
   }

@@ -1,6 +1,6 @@
 // Runtime-dispatched SIMD kernels for the simulator's SoA hot loops:
-// point-to-set distance² / distance, the Eq. 18 radio amplifier energy, and
-// the Q-value scan of Algorithm 4 (DESIGN.md §12).
+// point-to-set distance, the Eq. 18 radio amplifier energy, and the
+// Q-value scan of Algorithm 4 (DESIGN.md §12).
 //
 // Contract: every backend computes BIT-IDENTICAL IEEE-754 results to the
 // scalar reference for every input — the kernels replicate the exact
@@ -11,7 +11,7 @@
 // adversarial inputs under every QLEC_SIMD forcing value.
 //
 // Backend selection: the best CPU-supported backend is chosen once, lazily;
-// QLEC_SIMD=scalar|sse2|avx2|auto forces a backend (an unavailable forced
+// QLEC_SIMD=scalar|avx2|auto forces a backend (an unavailable forced
 // backend falls back to the best available one). Tests may override
 // programmatically with force().
 #pragma once
@@ -20,7 +20,7 @@
 
 namespace qlec::simd {
 
-enum class Backend : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class Backend : int { kScalar = 0, kAvx2 = 1 };
 
 inline constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
@@ -40,12 +40,9 @@ struct QScanConsts {
 /// One backend's kernel table. All arrays may alias only as documented;
 /// `out` never aliases an input. n == 0 is always legal.
 struct Kernels {
-  /// out[i] = (xs[i]-cx)² + (ys[i]-cy)² + (zs[i]-cz)², associated exactly
-  /// like Vec3::norm2 ((xx + yy) + zz).
-  void (*dist2_to_point)(const double* xs, const double* ys, const double* zs,
-                         std::size_t n, double cx, double cy, double cz,
-                         double* out);
-  /// sqrt of dist2_to_point, matching distance(Vec3, Vec3) bit-for-bit.
+  /// out[i] = sqrt((xs[i]-cx)² + (ys[i]-cy)² + (zs[i]-cz)²), the sum
+  /// associated exactly like Vec3::norm2 ((xx + yy) + zz), matching
+  /// distance(Vec3, Vec3) bit-for-bit.
   void (*dist_to_point)(const double* xs, const double* ys, const double* zs,
                         std::size_t n, double cx, double cy, double cz,
                         double* out);
@@ -54,9 +51,6 @@ struct Kernels {
   /// bits*eps_mp*d⁴ at or above (left-associated products).
   void (*amp_energy)(const double* d, std::size_t n, double bits,
                      double eps_fs, double eps_mp, double d0, double* out);
-  /// RadioModel::tx_energy: bits*e_elec + amp_energy.
-  void (*tx_energy)(const double* d, std::size_t n, double bits, double e_elec,
-                    double eps_fs, double eps_mp, double d0, double* out);
   /// out[i] = num[i] / denom (IEEE division; used for reward normalization).
   void (*scale_div)(const double* num, std::size_t n, double denom,
                     double* out);

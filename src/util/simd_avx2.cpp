@@ -14,24 +14,6 @@
 namespace qlec::simd::detail {
 namespace {
 
-void avx2_dist2(const double* xs, const double* ys, const double* zs,
-                std::size_t n, double cx, double cy, double cz, double* out) {
-  const __m256d vcx = _mm256_set1_pd(cx);
-  const __m256d vcy = _mm256_set1_pd(cy);
-  const __m256d vcz = _mm256_set1_pd(cz);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(xs + i), vcx);
-    const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ys + i), vcy);
-    const __m256d dz = _mm256_sub_pd(_mm256_loadu_pd(zs + i), vcz);
-    const __m256d d2 = _mm256_add_pd(
-        _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-        _mm256_mul_pd(dz, dz));
-    _mm256_storeu_pd(out + i, d2);
-  }
-  dist2_range(xs, ys, zs, i, n, cx, cy, cz, out);
-}
-
 void avx2_dist(const double* xs, const double* ys, const double* zs,
                std::size_t n, double cx, double cy, double cz, double* out) {
   const __m256d vcx = _mm256_set1_pd(cx);
@@ -50,8 +32,10 @@ void avx2_dist(const double* xs, const double* ys, const double* zs,
   dist_range(xs, ys, zs, i, n, cx, cy, cz, out);
 }
 
-// See sse2_amp for the max_pd clamp rationale (NaN and -0.0 behave exactly
-// like the scalar `if (d < 0) d = 0`).
+// amp = d < d0 ? (bits*eps_fs)*d*d : (bits*eps_mp)*d*d*d*d, d clamped at 0.
+// _mm256_max_pd(zero, d) matches the scalar `if (d < 0) d = 0`: it returns
+// the second operand when unordered (NaN passes through) or equal (-0.0
+// stays).
 inline __m256d amp_block(__m256d d, __m256d vfs, __m256d vmp, __m256d vd0) {
   d = _mm256_max_pd(_mm256_setzero_pd(), d);
   const __m256d fs = _mm256_mul_pd(_mm256_mul_pd(vfs, d), d);
@@ -71,20 +55,6 @@ void avx2_amp(const double* din, std::size_t n, double bits, double eps_fs,
     _mm256_storeu_pd(out + i,
                      amp_block(_mm256_loadu_pd(din + i), vfs, vmp, vd0));
   amp_range(din, i, n, bits, eps_fs, eps_mp, d0, out);
-}
-
-void avx2_tx(const double* din, std::size_t n, double bits, double e_elec,
-             double eps_fs, double eps_mp, double d0, double* out) {
-  const __m256d vfs = _mm256_set1_pd(bits * eps_fs);
-  const __m256d vmp = _mm256_set1_pd(bits * eps_mp);
-  const __m256d vd0 = _mm256_set1_pd(d0);
-  const __m256d velec = _mm256_set1_pd(bits * e_elec);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(out + i,
-                     _mm256_add_pd(velec, amp_block(_mm256_loadu_pd(din + i),
-                                                    vfs, vmp, vd0)));
-  tx_range(din, i, n, bits, e_elec, eps_fs, eps_mp, d0, out);
 }
 
 void avx2_scale_div(const double* num, std::size_t n, double denom,
@@ -108,6 +78,8 @@ void avx2_q_scan(const double* p, const double* y, const double* x_t,
   const __m256d vsrc = _mm256_set1_pd(c.v_src);
   const __m256d gamma = _mm256_set1_pd(c.gamma);
   const __m256d one = _mm256_set1_pd(1.0);
+  // (-g) + beta1*x_src is lane-invariant; hoisting it performs the same two
+  // roundings the scalar loop does every iteration.
   const __m256d rf_base = _mm256_set1_pd(-c.g + c.beta1 * c.x_src);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -129,7 +101,11 @@ void avx2_q_scan(const double* p, const double* y, const double* x_t,
   q_scan_range(p, y, x_t, v_t, i, n, c, out);
 }
 
-// Same lane-ownership argument as the SSE2 backend, with 4 lanes.
+// First-strict-extremum scan. Lane L owns indices L, L+4, …; per-lane
+// first-wins plus a (value, then min-index) lane merge reproduces the scalar
+// first-wins order exactly. Never-updated lanes still hold ±inf and are
+// skipped by the strict merge, so all-NaN / all-inf inputs yield npos just
+// like the scalar loop.
 template <bool kMax>
 std::size_t avx2_argext(const double* vals, std::size_t n) {
   const double init = kMax ? -std::numeric_limits<double>::infinity()
@@ -182,8 +158,7 @@ std::size_t avx2_argmin(const double* v, std::size_t n) {
 }
 
 constexpr Kernels kAvx2Table{
-    avx2_dist2,     avx2_dist,
-    avx2_amp,       avx2_tx,
+    avx2_dist,      avx2_amp,
     avx2_scale_div, avx2_q_scan,
     avx2_argmax,    avx2_argmin,
 };

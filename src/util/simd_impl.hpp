@@ -1,9 +1,9 @@
 // Private: the scalar reference loops behind qlec::simd, shared by every
-// backend TU — the scalar table points straight at them, and the SSE2/AVX2
-// TUs reuse them for misaligned tails so a vectorized kernel and its tail
-// are one expression tree. Each loop replicates, operation for operation,
-// the inline scalar code it accelerates (Vec3::norm2 / distance,
-// RadioModel::amp_energy / tx_energy, QlecRouter::choose_target's Q backup);
+// backend TU — the scalar table points straight at them, and the AVX2 TU
+// reuses them for misaligned tails so a vectorized kernel and its tail are
+// one expression tree. Each loop replicates, operation for operation, the
+// inline scalar code it accelerates (Vec3::norm2 / distance,
+// RadioModel::amp_energy, QlecRouter::choose_target's Q backup);
 // do not "simplify" the arithmetic — associativity changes break the
 // bit-identicality contract in simd.hpp.
 #pragma once
@@ -15,17 +15,6 @@
 #include "util/simd.hpp"
 
 namespace qlec::simd::detail {
-
-inline void dist2_range(const double* xs, const double* ys, const double* zs,
-                        std::size_t begin, std::size_t end, double cx,
-                        double cy, double cz, double* out) {
-  for (std::size_t i = begin; i < end; ++i) {
-    const double dx = xs[i] - cx;
-    const double dy = ys[i] - cy;
-    const double dz = zs[i] - cz;
-    out[i] = dx * dx + dy * dy + dz * dz;
-  }
-}
 
 inline void dist_range(const double* xs, const double* ys, const double* zs,
                        std::size_t begin, std::size_t end, double cx,
@@ -45,18 +34,6 @@ inline void amp_range(const double* din, std::size_t begin, std::size_t end,
     double d = din[i];
     if (d < 0.0) d = 0.0;
     out[i] = d < d0 ? bits * eps_fs * d * d : bits * eps_mp * d * d * d * d;
-  }
-}
-
-inline void tx_range(const double* din, std::size_t begin, std::size_t end,
-                     double bits, double e_elec, double eps_fs, double eps_mp,
-                     double d0, double* out) {
-  for (std::size_t i = begin; i < end; ++i) {
-    double d = din[i];
-    if (d < 0.0) d = 0.0;
-    const double amp =
-        d < d0 ? bits * eps_fs * d * d : bits * eps_mp * d * d * d * d;
-    out[i] = bits * e_elec + amp;
   }
 }
 
@@ -102,9 +79,8 @@ inline std::size_t argmin_range(const double* v, std::size_t n) {
   return best;
 }
 
-// Backend tables, defined in their own TUs so each can carry its own
-// codegen flags. A backend absent from this build returns nullptr.
-const Kernels* sse2_table() noexcept;
+// The AVX2 table, defined in its own TU so it can carry its own codegen
+// flags; nullptr when this build cannot target AVX2.
 const Kernels* avx2_table() noexcept;
 
 }  // namespace qlec::simd::detail

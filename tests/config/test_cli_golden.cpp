@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -209,6 +210,35 @@ TEST(CliGolden, AllCommittedScenariosParseAndExpand) {
                         scenario_text(file.filename().string()))))
         << file;
     EXPECT_FALSE(cells.empty()) << file;
+  }
+}
+
+TEST(CliGolden, SectorModeMovesOnlyTheSectoredProtocols) {
+  // EXPERIMENTS.md §PROTO's structural check: protocol.sector_mode is read
+  // only by the sectored elections (q-leach, reech-me), so every other
+  // protocol's quadrant and octant cells must replay the same traces.
+  auto cells =
+      expand_grid(parse_scenario(scenario_text("protocol_shelf.json")));
+  for (SweepCell& cell : cells) cell.config.sim.trace.record = true;
+  const RunManifest m = run_grid(cells);
+  std::map<std::string, std::map<SectorMode, std::vector<std::string>>>
+      digests;
+  for (const CellResult& c : m.cells) {
+    ASSERT_EQ(c.digests.size(), c.config.seeds) << c.label;
+    digests[c.config.protocol.name][c.config.protocol.sector_mode] =
+        c.digests;
+  }
+  ASSERT_EQ(digests.size(), 5u);
+  for (const auto& [protocol, by_mode] : digests) {
+    ASSERT_EQ(by_mode.size(), 2u) << protocol;
+    const bool sectored = protocol == "q-leach" || protocol == "reech-me";
+    const auto& quadrant = by_mode.at(SectorMode::kQuadrant);
+    const auto& octant = by_mode.at(SectorMode::kOctant);
+    if (sectored) {
+      EXPECT_NE(quadrant, octant) << protocol << " ignores sector_mode";
+    } else {
+      EXPECT_EQ(quadrant, octant) << protocol << " reads sector_mode";
+    }
   }
 }
 

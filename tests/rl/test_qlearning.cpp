@@ -2,25 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace qlec {
 namespace {
-
-TEST(ExpectedQ, EmptyBranchesIsZero) {
-  EXPECT_DOUBLE_EQ(expected_q({}, 0.9), 0.0);
-}
-
-TEST(ExpectedQ, SingleDeterministicBranch) {
-  // Q = r + gamma * v.
-  EXPECT_DOUBLE_EQ(expected_q({{1.0, 2.0, 10.0}}, 0.5), 2.0 + 5.0);
-}
-
-TEST(ExpectedQ, MixesBranchesByProbability) {
-  const std::vector<Branch> b{{0.25, 4.0, 8.0}, {0.75, 0.0, 0.0}};
-  // R = 0.25*4 = 1; V = 0.25*8 = 2; Q = 1 + 0.9*2.
-  EXPECT_DOUBLE_EQ(expected_q(b, 0.9), 1.0 + 1.8);
-}
 
 TEST(TwoOutcomeTransition, MatchesPaperEq15Substitution) {
   const TwoOutcomeTransition t{
@@ -46,108 +29,6 @@ TEST(TwoOutcomeTransition, CertainSuccessIgnoresFailureBranch) {
   };
   EXPECT_DOUBLE_EQ(t.q_value(0.5), 3.0 + 0.5);
 }
-
-TEST(TwoOutcomeTransition, EquivalentToGenericExpectedQ) {
-  const TwoOutcomeTransition t{
-      .p_success = 0.3,
-      .reward_success = 0.7,
-      .reward_failure = -0.2,
-      .v_success = 1.5,
-      .v_failure = 0.4,
-  };
-  const std::vector<Branch> branches{{0.3, 0.7, 1.5}, {0.7, -0.2, 0.4}};
-  EXPECT_NEAR(t.q_value(0.9), expected_q(branches, 0.9), 1e-12);
-}
-
-TEST(TabularQLearner, GreedySelectionWhenEpsilonZero) {
-  TabularQLearner learner(1, 3, {.gamma = 0.9, .alpha = 0.5, .epsilon = 0.0});
-  learner.table().set(0, 2, 5.0);
-  Rng rng(1);
-  for (int i = 0; i < 50; ++i)
-    EXPECT_EQ(learner.select_action(0, rng), 2u);
-}
-
-TEST(TabularQLearner, EpsilonOneIsUniform) {
-  TabularQLearner learner(1, 4, {.gamma = 0.9, .alpha = 0.5, .epsilon = 1.0});
-  learner.table().set(0, 0, 100.0);
-  Rng rng(2);
-  std::vector<int> counts(4, 0);
-  for (int i = 0; i < 4000; ++i) ++counts[learner.select_action(0, rng)];
-  for (const int c : counts) EXPECT_GT(c, 700);
-}
-
-TEST(TabularQLearner, UpdateMovesTowardTarget) {
-  TabularQLearner learner(2, 1, {.gamma = 0.5, .alpha = 1.0, .epsilon = 0.0});
-  learner.table().set(1, 0, 4.0);
-  // Target = r + gamma * max_a Q(s2) = 2 + 0.5*4 = 4.
-  learner.update(0, 0, 2.0, 1, /*terminal=*/false);
-  EXPECT_DOUBLE_EQ(learner.table().get(0, 0), 4.0);
-}
-
-TEST(TabularQLearner, TerminalIgnoresBootstrap) {
-  TabularQLearner learner(2, 1, {.gamma = 0.9, .alpha = 1.0, .epsilon = 0.0});
-  learner.table().set(1, 0, 1000.0);
-  learner.update(0, 0, 7.0, 1, /*terminal=*/true);
-  EXPECT_DOUBLE_EQ(learner.table().get(0, 0), 7.0);
-}
-
-// A 4-state deterministic chain 0 -> 1 -> 2 -> 3(goal). Actions: 0 =
-// forward, 1 = stay. Reward 1 on entering the goal, 0 otherwise.
-StepResult chain_step(std::size_t s, std::size_t a, Rng&) {
-  if (a == 1) return {0.0, s, false};
-  const std::size_t next = s + 1;
-  if (next == 3) return {1.0, 3, true};
-  return {0.0, next, false};
-}
-
-TEST(TrainEpisodes, LearnsOptimalChainPolicy) {
-  TabularQLearner learner(4, 2,
-                          {.gamma = 0.9, .alpha = 0.2, .epsilon = 0.2});
-  Rng rng(7);
-  const std::size_t updates =
-      train_episodes(learner, chain_step, 0, 400, 50, rng);
-  EXPECT_GT(updates, 400u);
-  // Greedy policy should be "forward" everywhere before the goal.
-  for (std::size_t s = 0; s < 3; ++s)
-    EXPECT_EQ(learner.table().best_action(s), 0u) << "state " << s;
-  // Q(0, fwd) should approximate gamma^2 * 1.
-  EXPECT_NEAR(learner.table().get(0, 0), 0.81, 0.1);
-}
-
-TEST(TrainEpisodes, ValueOrderingReflectsDistanceToGoal) {
-  TabularQLearner learner(4, 2,
-                          {.gamma = 0.9, .alpha = 0.2, .epsilon = 0.3});
-  Rng rng(9);
-  train_episodes(learner, chain_step, 0, 500, 50, rng);
-  EXPECT_GT(learner.table().max_q(2), learner.table().max_q(1));
-  EXPECT_GT(learner.table().max_q(1), learner.table().max_q(0));
-}
-
-TEST(TrainEpisodes, ConvergenceTrackerEventuallyQuiet) {
-  TabularQLearner learner(4, 2,
-                          {.gamma = 0.9, .alpha = 0.5, .epsilon = 0.1});
-  Rng rng(11);
-  train_episodes(learner, chain_step, 0, 2000, 50, rng);
-  // The deterministic chain drives deltas to ~0 once converged.
-  EXPECT_TRUE(learner.convergence().converged());
-}
-
-// Parametric sweep over gamma: nearer-goal states always dominate and the
-// start-state value scales like gamma^2.
-class GammaSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(GammaSweep, StartValueScalesWithDiscount) {
-  const double gamma = GetParam();
-  TabularQLearner learner(4, 2,
-                          {.gamma = gamma, .alpha = 0.3, .epsilon = 0.3});
-  Rng rng(13);
-  train_episodes(learner, chain_step, 0, 800, 50, rng);
-  EXPECT_NEAR(learner.table().get(0, 0), gamma * gamma, 0.15)
-      << "gamma=" << gamma;
-}
-
-INSTANTIATE_TEST_SUITE_P(Gammas, GammaSweep,
-                         ::testing::Values(0.5, 0.7, 0.9, 0.99));
 
 }  // namespace
 }  // namespace qlec

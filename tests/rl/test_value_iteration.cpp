@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "rl/qlearning.hpp"
-#include "util/rng.hpp"
 
 namespace qlec {
 namespace {
@@ -82,31 +81,6 @@ TEST(ValueIteration, QFromValuesConsistentWithPolicy) {
     EXPECT_GT(q_fwd, q_stay);
     EXPECT_NEAR(r.v[s], q_fwd, 1e-9);  // V = max_a Q
   }
-}
-
-TEST(ValueIteration, QLearnerConvergesToExactValues) {
-  const Mdp m = chain_mdp();
-  const ValueIterationResult exact = value_iteration(m, 0.9);
-
-  TabularQLearner learner(4, 2,
-                          {.gamma = 0.9, .alpha = 0.1, .epsilon = 0.3});
-  Rng rng(11);
-  const StepFn step = [&m](std::size_t s, std::size_t a,
-                           Rng& r) -> StepResult {
-    // Sample the MDP.
-    const auto& branches = m.transitions[s][a];
-    double u = r.uniform01();
-    for (const MdpBranch& b : branches) {
-      if (u < b.probability)
-        return {b.reward, b.next_state, m.terminal[b.next_state]};
-      u -= b.probability;
-    }
-    const MdpBranch& last = branches.back();
-    return {last.reward, last.next_state, m.terminal[last.next_state]};
-  };
-  train_episodes(learner, step, 0, 3000, 50, rng);
-  for (std::size_t s = 0; s < 3; ++s)
-    EXPECT_NEAR(learner.table().max_q(s), exact.v[s], 0.05) << s;
 }
 
 TEST(ValueIteration, UnreachableActionIgnored) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
+
 namespace qlec {
 namespace {
 
@@ -73,6 +76,34 @@ TEST(Experiment, ThreadPoolMatchesSerial) {
   }
 }
 
+TEST(Experiment, PoolWiderThanTheSeedsCapsAtTheSeedCount) {
+  // An uncapped pool of this width would fail to reserve its workers (or,
+  // for a merely huge width, start that many threads); capped, it runs one
+  // thread per seed and matches the serial run.
+  const auto serial = run_replications("kmeans", fast_experiment());
+  const auto wide = run_replications(
+      "kmeans", fast_experiment(),
+      ExecPolicy::pool(std::numeric_limits<std::size_t>::max()));
+  ASSERT_EQ(wide.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].delivered, wide[i].delivered);
+    EXPECT_DOUBLE_EQ(serial[i].total_energy_consumed,
+                     wide[i].total_energy_consumed);
+  }
+}
+
+TEST(Experiment, StopFlagEndsSerialSeedsEarly) {
+  std::atomic<bool> stop{true};
+  EXPECT_TRUE(run_replications("kmeans", fast_experiment(),
+                               ExecPolicy::serial(), &stop)
+                  .empty());
+  stop = false;
+  EXPECT_EQ(run_replications("kmeans", fast_experiment(),
+                             ExecPolicy::serial(), &stop)
+                .size(),
+            3u);
+}
+
 TEST(Experiment, AggregateCountsSeeds) {
   const AggregatedMetrics agg =
       run_experiment("kmeans", fast_experiment());
@@ -104,7 +135,9 @@ TEST(ExecPolicyApi, ModesExposeTheirConfiguration) {
   const ExecPolicy p = ExecPolicy::pool(6);
   EXPECT_TRUE(p.is_pool());
   EXPECT_EQ(p.threads(), 6u);
+  EXPECT_EQ(p.width(), 6u);
   EXPECT_EQ(ExecPolicy::pool().threads(), 0u);  // 0 = hardware default
+  EXPECT_GE(ExecPolicy::pool().width(), 1u);
 }
 
 }  // namespace

@@ -88,6 +88,14 @@ TEST(CliArgs, NegativeNumbersParse) {
   EXPECT_EQ(args.get_int("n", 0), -7);
 }
 
+TEST(CliArgs, OutOfRangeIntRecordsError) {
+  const CliArgs args = parse({"--jobs=-1", "--port=70000", "--n=65535"});
+  EXPECT_EQ(args.get_int("jobs", 4, 0), 4);
+  EXPECT_EQ(args.get_int("port", 8423, 0, 65535), 8423);
+  EXPECT_EQ(args.get_int("n", 0, 0, 65535), 65535);
+  EXPECT_EQ(args.errors(), (std::vector<std::string>{"jobs", "port"}));
+}
+
 TEST(CliArgs, GetAllPreservesRepeatsInOrder) {
   const CliArgs args = parse({"--set", "a=1", "--n=5", "--set", "b=2",
                               "--set=c=3"});

@@ -1,6 +1,6 @@
 // Differential battery pinning every qlec::simd backend to the scalar
-// oracle BIT-FOR-BIT (ISSUE 6 satellite): randomized inputs across sizes
-// that exercise full vector blocks, misaligned tails, and empty lanes, plus
+// oracle BIT-FOR-BIT: randomized inputs across sizes that exercise full
+// vector blocks, misaligned tails, and empty lanes, plus
 // adversarial values — denormals, NaNs, ±inf, -0.0, negative distances —
 // and the QLEC_SIMD forcing values. Comparison is on the raw bit pattern
 // (memcmp of the doubles), so even NaN payloads must agree.
@@ -26,12 +26,11 @@ constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
 
 // Sizes straddling every vector-width boundary: empty, sub-width, exact
-// blocks, and block+tail for both 2-wide and 4-wide backends.
+// blocks, and block+tail for the 4-wide AVX2 lanes.
 const std::size_t kSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 64, 257};
 
 std::vector<Backend> vector_backends() {
   std::vector<Backend> out;
-  if (kernels_for(Backend::kSse2) != nullptr) out.push_back(Backend::kSse2);
   if (kernels_for(Backend::kAvx2) != nullptr) out.push_back(Backend::kAvx2);
   return out;
 }
@@ -95,7 +94,7 @@ void fill_adversarial(double* p, std::size_t n, Rng& rng,
   }
 }
 
-TEST(SimdOracle, Dist2AndDistMatchScalar) {
+TEST(SimdOracle, DistMatchesScalar) {
   for (const Backend b : vector_backends()) {
     const Kernels& k = *kernels_for(b);
     Rng rng(101);
@@ -108,12 +107,6 @@ TEST(SimdOracle, Dist2AndDistMatchScalar) {
         const double cx = rng.uniform(-100.0, 100.0);
         const double cy = rng.uniform(-100.0, 100.0);
         const double cz = rng.uniform(-100.0, 100.0);
-        k.dist2_to_point(xs.data(), ys.data(), zs.data(), n, cx, cy, cz,
-                         got.data());
-        oracle().dist2_to_point(xs.data(), ys.data(), zs.data(), n, cx, cy,
-                                cz, want.data());
-        expect_same_bits(got.data(), want.data(), n,
-                         std::string("dist2/") + backend_name(b));
         k.dist_to_point(xs.data(), ys.data(), zs.data(), n, cx, cy, cz,
                         got.data());
         oracle().dist_to_point(xs.data(), ys.data(), zs.data(), n, cx, cy,
@@ -140,18 +133,11 @@ TEST(SimdOracle, RadioEnergyMatchesScalar) {
           fill_adversarial(d.data(), n, rng);
           const double bits = 4000.0;
           const double eps_fs = 10e-12, eps_mp = 0.0013e-12;
-          const double e_elec = 50e-9;
           k.amp_energy(d.data(), n, bits, eps_fs, eps_mp, d0, got.data());
           oracle().amp_energy(d.data(), n, bits, eps_fs, eps_mp, d0,
                               want.data());
           expect_same_bits(got.data(), want.data(), n,
                            std::string("amp/") + backend_name(b));
-          k.tx_energy(d.data(), n, bits, e_elec, eps_fs, eps_mp, d0,
-                      got.data());
-          oracle().tx_energy(d.data(), n, bits, e_elec, eps_fs, eps_mp, d0,
-                             want.data());
-          expect_same_bits(got.data(), want.data(), n,
-                           std::string("tx/") + backend_name(b));
         }
       }
     }
@@ -264,7 +250,7 @@ TEST(SimdOracle, SingleElementAndEmpty) {
     EXPECT_EQ(k.argmax(&one, 1), 0u);
     EXPECT_EQ(k.argmin(&one, 1), 0u);
     // Empty-lane calls must be no-ops, not crashes.
-    k.dist2_to_point(nullptr, nullptr, nullptr, 0, 0, 0, 0, nullptr);
+    k.dist_to_point(nullptr, nullptr, nullptr, 0, 0, 0, 0, nullptr);
     k.amp_energy(nullptr, 0, 1, 1, 1, 1, nullptr);
     k.q_scan(nullptr, nullptr, nullptr, nullptr, 0, QScanConsts{}, nullptr);
   }
@@ -294,7 +280,6 @@ TEST_F(SimdEnvTest, EveryForcingValueResolvesToAnAvailableBackend) {
     Backend want;  // expected when that backend is available
   } kCases[] = {
       {"scalar", Backend::kScalar},
-      {"sse2", Backend::kSse2},
       {"avx2", Backend::kAvx2},
   };
   for (const auto& c : kCases) {
@@ -324,7 +309,7 @@ TEST_F(SimdEnvTest, ForcedScalarStillPassesDifferentialSpotCheck) {
   const QScanConsts c = random_consts(rng);
   oracle().q_scan(p.data(), y.data(), xt.data(), vt.data(), n, c,
                   want.data());
-  for (const char* mode : {"scalar", "sse2", "avx2", "auto"}) {
+  for (const char* mode : {"scalar", "avx2", "auto"}) {
     ::setenv("QLEC_SIMD", mode, 1);
     reset_to_env();
     kernels().q_scan(p.data(), y.data(), xt.data(), vt.data(), n, c,
@@ -345,7 +330,6 @@ TEST(SimdDispatch, ForceClampsToAvailable) {
 
 TEST(SimdDispatch, BackendNamesAreStable) {
   EXPECT_STREQ(backend_name(Backend::kScalar), "scalar");
-  EXPECT_STREQ(backend_name(Backend::kSse2), "sse2");
   EXPECT_STREQ(backend_name(Backend::kAvx2), "avx2");
   EXPECT_TRUE(available(Backend::kScalar));
   EXPECT_NE(kernels_for(Backend::kScalar), nullptr);
