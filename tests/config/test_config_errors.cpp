@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "config/sweep.hpp"
+#include "digest.hpp"
 #include "util/rng.hpp"
 
 namespace qlec::config {
@@ -304,6 +307,38 @@ TEST(ConfigErrors, BsTrajectoryBlockValidated) {
                   "bs.trajectory.orbit_period", "integer ≥ 1, got 0");
   expect_rejected(R"({"bs": {"trajectory": {"dwell": 2}}})",
                   "bs.trajectory.dwell", "unknown key");
+}
+
+/// Dotted paths of every non-object node under `v`; arrays count as leaves.
+void collect_leaves(const JsonValue& v, const std::string& path,
+                    std::vector<std::string>& out) {
+  if (!v.is_object()) {
+    out.push_back(path);
+    return;
+  }
+  for (const auto& [key, member] : v.members())
+    collect_leaves(member, path.empty() ? key : path + "." + key, out);
+}
+
+TEST(ConfigErrors, EveryLeafRejectsAWrongType) {
+  const JsonValue doc = *parse_json(experiment_to_json(ExperimentConfig{}));
+  std::vector<std::string> leaves;
+  collect_leaves(doc, "", leaves);
+  std::string whats;
+  for (const std::string& leaf : leaves) {
+    const JsonValue bad =
+        with_path_set(doc, leaf, JsonValue::make_object({}));
+    try {
+      experiment_from_json(bad);
+      ADD_FAILURE() << "accepted {} at " << leaf;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.path(), leaf) << e.what();
+      whats += e.what();
+      whats += '\n';
+    }
+  }
+  EXPECT_EQ(leaves.size(), 120u);
+  EXPECT_EQ(test::fnv1a64_hex(whats), "b2351d2370e1013f") << whats;
 }
 
 TEST(ConfigErrors, WhatIsPathColonProblem) {

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -19,6 +19,7 @@
 #include "config/runner.hpp"
 #include "config/sweep.hpp"
 #include "config/version.hpp"
+#include "digest.hpp"
 #include "sim/protocols/registry.hpp"
 #include "util/csv.hpp"
 
@@ -564,14 +565,7 @@ TEST(StoredCellBytes, ManifestsEqualACachelessRender) {
 // computed before the writer moved from snprintf to the shared to_chars
 // formatter; they change only with a deliberate format or version change.
 
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using test::fnv1a64_hex;
 
 std::vector<SweepCell> scenario_cells(const char* file) {
   const auto text =
@@ -591,6 +585,31 @@ TEST(CacheAddressPin, JobKeysOfCommittedScenarios) {
   EXPECT_EQ(job_key(paper[0].config), "4e90a1f490d1fa80");
 }
 
+// The config echo of every cell of every committed scenario, env, MAC,
+// fault and trajectory blocks included: job keys hash these bytes, so a
+// schema binding change must leave them identical.
+TEST(CacheAddressPin, ConfigEchoOfEveryCommittedScenario) {
+  std::vector<std::string> files;
+  for (const char* dir : {QLEC_SCENARIO_DIR, QLEC_PERFBENCH_SCENARIO_DIR})
+    for (const auto& e : std::filesystem::recursive_directory_iterator(dir))
+      if (e.path().extension() == ".json") files.push_back(e.path().string());
+  std::sort(files.begin(), files.end());
+  ASSERT_EQ(files.size(), 26u);
+  std::string echoes;
+  std::size_t cells = 0;
+  for (const std::string& file : files) {
+    const auto text = read_text_file(file);
+    ASSERT_TRUE(text.has_value()) << file;
+    for (const SweepCell& cell : expand_grid(parse_scenario(*text))) {
+      echoes += experiment_to_json(cell.config);
+      ++cells;
+    }
+  }
+  EXPECT_EQ(cells, 248u);
+  EXPECT_EQ(echoes.size(), 620555u);
+  EXPECT_EQ(fnv1a64_hex(echoes), "632669205a6da9a5");
+}
+
 TEST(CacheAddressPin, ManifestBytesOfATwoCellRun) {
   const std::vector<SweepCell> cells = expand_grid(parse_scenario(R"({
     "name": "pin",
@@ -607,11 +626,8 @@ TEST(CacheAddressPin, ManifestBytesOfATwoCellRun) {
   m.name = "pin";
   m.description = "two cells, N=40";
   const std::string json = manifest_to_json(m);
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(fnv1a64(json)));
   EXPECT_EQ(json.size(), 7757u);
-  EXPECT_EQ(std::string(hex), "a1f9aee40b04a33a");
+  EXPECT_EQ(fnv1a64_hex(json), "a1f9aee40b04a33a");
 }
 
 }  // namespace
