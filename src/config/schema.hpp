@@ -2,7 +2,9 @@
 // transitively owns: ScenarioConfig (incl. BsPlacement/Deployment), SimConfig
 // with its nested Audit/Trace/Telemetry options, FaultConfig (plan + hazards),
 // and ProtocolOptions (incl. QlecParams). This is what makes scenarios data
-// instead of hand-written C++ mains (DESIGN.md §11).
+// instead of hand-written C++ mains (DESIGN.md §11). schema.cpp lists each
+// struct's keys once, in a bind_* template that both the reader and the
+// writer run, and its enum tables are the only spelling of every token.
 //
 // Contract:
 //   * Every field is serialized, defaults included, so a manifest's config
@@ -19,6 +21,8 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/experiment.hpp"
 #include "util/json.hpp"
@@ -37,13 +41,44 @@ class ConfigError : public std::runtime_error {
   std::string path_;
 };
 
-// ---- enum token tables (the config-file spellings) ----
-// deployment_name/fault_kind_name live next to their enums; these cover the
-// rest. Unknown enum values render as "?" and never parse back.
-const char* bs_placement_name(BsPlacement b) noexcept;
-const char* aggregation_name(Aggregation a) noexcept;
-const char* mobility_kind_name(MobilityKind k) noexcept;
-const char* telemetry_sink_name(obs::TelemetryOptions::Sink s) noexcept;
+// ---- enum token tables: the only spelling of each config-file token ----
+
+/// One row per enum value: (value, token).
+template <typename E>
+using EnumTable = std::vector<std::pair<E, const char*>>;
+
+/// The token table of E, defined in schema.cpp for the nine config enums
+/// declared below.
+template <typename E>
+const EnumTable<E>& enum_table();
+
+template <>
+const EnumTable<BsPlacement>& enum_table();
+template <>
+const EnumTable<Aggregation>& enum_table();
+template <>
+const EnumTable<MobilityKind>& enum_table();
+template <>
+const EnumTable<obs::TelemetryOptions::Sink>& enum_table();
+template <>
+const EnumTable<FaultKind>& enum_table();
+template <>
+const EnumTable<SectorMode>& enum_table();
+template <>
+const EnumTable<ControllerKind>& enum_table();
+template <>
+const EnumTable<TrajectoryKind>& enum_table();
+template <>
+const EnumTable<Deployment>& enum_table();
+
+/// `value`'s token; a value outside the table renders as "?", which never
+/// parses back.
+template <typename E>
+const char* enum_name(E value) noexcept {
+  for (const auto& [e, name] : enum_table<E>())
+    if (e == value) return name;
+  return "?";
+}
 
 /// Serializes `cfg` (all fields) as the next value of `w`.
 void write_experiment(JsonWriter& w, const ExperimentConfig& cfg);

@@ -4,10 +4,6 @@
 
 namespace qlec {
 
-const char* sector_mode_name(SectorMode m) noexcept {
-  return m == SectorMode::kQuadrant ? "quadrant" : "octant";
-}
-
 SectorGrid::SectorGrid(const Aabb& box, int nx, int ny, int nz)
     : box_(box),
       nx_(std::max(1, nx)),

@@ -23,12 +23,9 @@ namespace qlec {
 /// How a regional protocol sectors the deployment volume: `kQuadrant`
 /// splits x and y at the box center (2x2x1, the planar split of the
 /// Q-LEACH paper); `kOctant` also splits z (2x2x2, the natural lift to
-/// the 3-D deployments this repo targets).
+/// the 3-D deployments this repo targets). Config-file tokens: the
+/// enum tables in config/schema.cpp.
 enum class SectorMode { kQuadrant, kOctant };
-
-/// Stable lowercase token for `m` ("quadrant" / "octant"); used by the
-/// config schema and telemetry labels.
-const char* sector_mode_name(SectorMode m) noexcept;
 
 /// An axis-aligned grid of nx * ny * nz sectors over a box.
 class SectorGrid {

@@ -7,10 +7,6 @@
 
 namespace qlec {
 
-const char* controller_kind_name(ControllerKind k) noexcept {
-  return k == ControllerKind::kRlLite ? "rl-lite" : "passthrough";
-}
-
 void PassthroughController::select_heads(const Network& net, int round,
                                          double death_line, Rng& rng,
                                          std::vector<int>& heads) {

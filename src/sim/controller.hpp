@@ -35,12 +35,9 @@
 
 namespace qlec {
 
-/// Which Controller implementation `make_controller` builds.
+/// Which Controller implementation `make_controller` builds. Config-file
+/// tokens: the enum tables in config/schema.cpp.
 enum class ControllerKind { kRlLite, kPassthrough };
-
-/// Stable lowercase token for `k` ("rl-lite" / "passthrough"); used by the
-/// config schema.
-const char* controller_kind_name(ControllerKind k) noexcept;
 
 /// Hyper-parameters for the BS-side controller (config: protocol.controller).
 struct ControllerOptions {

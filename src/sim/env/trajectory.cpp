@@ -5,23 +5,6 @@
 
 namespace qlec {
 
-const char* trajectory_kind_name(TrajectoryKind k) noexcept {
-  switch (k) {
-    case TrajectoryKind::kNone: return "none";
-    case TrajectoryKind::kWaypoint: return "waypoint";
-    case TrajectoryKind::kOrbit: return "orbit";
-  }
-  return "?";
-}
-
-std::optional<TrajectoryKind> trajectory_kind_from_name(
-    std::string_view name) noexcept {
-  if (name == "none") return TrajectoryKind::kNone;
-  if (name == "waypoint") return TrajectoryKind::kWaypoint;
-  if (name == "orbit") return TrajectoryKind::kOrbit;
-  return std::nullopt;
-}
-
 BsTrajectory::BsTrajectory(const BsTrajectoryConfig& cfg, const Vec3& anchor)
     : cfg_(cfg), anchor_(anchor) {
   if (cfg_.kind != TrajectoryKind::kWaypoint) return;

@@ -13,25 +13,18 @@
 // worlds state the center explicitly.
 #pragma once
 
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "geom/vec3.hpp"
 
 namespace qlec {
 
+/// Config-file tokens: the enum tables in config/schema.cpp.
 enum class TrajectoryKind {
   kNone = 0,  ///< static BS (the default; digest-neutral)
   kWaypoint,  ///< constant-speed polyline through `waypoints`
   kOrbit,     ///< circle of `orbit_radius` around `orbit_center`
 };
-
-/// Canonical config-file token ("none" / "waypoint" / "orbit").
-const char* trajectory_kind_name(TrajectoryKind k) noexcept;
-/// Inverse of trajectory_kind_name; nullopt for unknown tokens.
-std::optional<TrajectoryKind> trajectory_kind_from_name(
-    std::string_view name) noexcept;
 
 /// Serialized as the top-level "bs": {"trajectory": {...}} config block.
 struct BsTrajectoryConfig {

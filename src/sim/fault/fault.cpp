@@ -7,18 +7,6 @@
 
 namespace qlec {
 
-const char* fault_kind_name(FaultKind k) {
-  switch (k) {
-    case FaultKind::kCrash: return "crash";
-    case FaultKind::kStun: return "stun";
-    case FaultKind::kBlackout: return "blackout";
-    case FaultKind::kLinkDegrade: return "link-degrade";
-    case FaultKind::kBsOutage: return "bs-outage";
-    case FaultKind::kBatteryFade: return "battery-fade";
-  }
-  return "?";
-}
-
 FaultInjector::FaultInjector(const FaultConfig& cfg, std::size_t n,
                              double death_line, std::uint64_t stream_seed)
     : hazards_(cfg.hazards),

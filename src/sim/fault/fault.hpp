@@ -36,6 +36,7 @@ namespace obs {
 class Telemetry;  // obs/telemetry.hpp
 }
 
+/// Config-file tokens: the enum tables in config/schema.cpp.
 enum class FaultKind : int {
   kCrash,       ///< permanent node failure (node stays down forever)
   kStun,        ///< transient sleep window: down for `duration` rounds
@@ -44,8 +45,6 @@ enum class FaultKind : int {
   kBsOutage,    ///< all BS uplinks fail for `duration` rounds
   kBatteryFade, ///< remove `severity` fraction of a node's residual energy
 };
-
-const char* fault_kind_name(FaultKind k);
 
 /// One scheduled fault. Fields beyond `kind`/`round` are interpreted per
 /// kind; irrelevant ones are ignored.

@@ -18,20 +18,6 @@ std::vector<double> energies(const ScenarioConfig& cfg, Rng& rng) {
 
 }  // namespace
 
-const char* deployment_name(Deployment d) noexcept {
-  switch (d) {
-    case Deployment::kUniform: return "uniform";
-    case Deployment::kTerrain: return "terrain";
-  }
-  return "?";
-}
-
-std::optional<Deployment> deployment_from_name(std::string_view name) noexcept {
-  if (name == "uniform") return Deployment::kUniform;
-  if (name == "terrain") return Deployment::kTerrain;
-  return std::nullopt;
-}
-
 Vec3 bs_position(BsPlacement placement, const Aabb& box) {
   const Vec3 c = box.center();
   switch (placement) {

@@ -3,8 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 #include "net/network.hpp"
 #include "util/rng.hpp"
@@ -13,17 +11,12 @@ namespace qlec {
 
 /// Deployment geometry for an experiment. A closed enum (rather than a
 /// free-form string) so the config layer can reject unknown deployments at
-/// parse time with a path-qualified error instead of mid-run.
+/// parse time with a path-qualified error instead of mid-run. Config-file
+/// tokens: the enum tables in config/schema.cpp.
 enum class Deployment {
   kUniform,  ///< uniform random placement in the cube (the paper's setting)
   kTerrain,  ///< ridged height-field placement (mountain scenarios)
 };
-
-/// Canonical token ("uniform" / "terrain") — the config-file spelling.
-const char* deployment_name(Deployment d) noexcept;
-
-/// Inverse of deployment_name; nullopt for unknown tokens.
-std::optional<Deployment> deployment_from_name(std::string_view name) noexcept;
 
 /// Where the sink sits relative to the M x M x M cube. The paper's §5.1
 /// (k_opt ≈ 5 for N = 100, M = 200) is consistent with a sink on the cube

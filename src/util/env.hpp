@@ -12,7 +12,8 @@
 //                            and qlec_run --serve-cache (unset = no disk
 //                            cache)
 //   QLEC_SERVE_WORKERS=<n>   default scheduler width for qlec_serve
-//                            (0/unset = hardware concurrency)
+//                            (0/unset = hardware concurrency; over 256
+//                            is a bad value)
 //   QLEC_SIMD=<backend>      force a qlec::simd kernel backend
 //                            (scalar|avx2|auto); parsed by
 //                            util/simd.cpp, falls back to the best

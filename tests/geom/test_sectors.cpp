@@ -23,11 +23,6 @@ std::vector<Vec3> random_cloud(std::size_t n, std::uint64_t seed,
   return pos;
 }
 
-TEST(Sectors, ModeNamesAreStableTokens) {
-  EXPECT_STREQ(sector_mode_name(SectorMode::kQuadrant), "quadrant");
-  EXPECT_STREQ(sector_mode_name(SectorMode::kOctant), "octant");
-}
-
 TEST(Sectors, QuadrantAndOctantCounts) {
   const Aabb box = Aabb::cube(100.0);
   EXPECT_EQ(SectorGrid::quadrants(box).count(), 4u);

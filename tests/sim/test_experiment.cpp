@@ -27,19 +27,6 @@ TEST(Experiment, BuildNetworkUniformAndTerrain) {
   EXPECT_EQ(t.size(), 30u);
 }
 
-TEST(Experiment, DeploymentNamesRoundTrip) {
-  // The closed enum replaced the stringly seam: unknown deployments are now
-  // rejected at config-parse time (see tests/config), so the only name
-  // surface left is this bijection.
-  for (const Deployment d : {Deployment::kUniform, Deployment::kTerrain}) {
-    const auto back = deployment_from_name(deployment_name(d));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, d);
-  }
-  EXPECT_FALSE(deployment_from_name("bogus").has_value());
-  EXPECT_FALSE(deployment_from_name("").has_value());
-}
-
 TEST(Experiment, ReplicationsProduceOnePerSeed) {
   const auto results = run_replications("kmeans", fast_experiment());
   ASSERT_EQ(results.size(), 3u);
