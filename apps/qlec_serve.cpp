@@ -24,12 +24,18 @@ namespace {
 
 using namespace qlec;
 
+/// Upper bound on every thread count qlec_serve takes (--workers,
+/// --http-workers, QLEC_SERVE_WORKERS): a mistyped count must not start
+/// millions of threads.
+constexpr long long kMaxThreads = 256;
+
 const std::vector<std::pair<std::string, std::string>> kOptions = {
     {"--host <addr>", "listen address (IPv4 literal, default 127.0.0.1)"},
     {"--port <n>", "listen port (default 8423; 0 picks an ephemeral port, "
                    "printed on startup)"},
-    {"--workers <n>", "concurrent cells simulated (0 = hardware default; "
-                      "QLEC_SERVE_WORKERS sets the default)"},
+    {"--workers <n>", "concurrent cells simulated, at most 256 (0 = "
+                      "hardware default; QLEC_SERVE_WORKERS sets the "
+                      "default)"},
     {"--cache <dir>", "ResultStore directory — results persist across "
                       "restarts (QLEC_SERVE_CACHE sets the default; unset "
                       "keeps the cache in memory only)"},
@@ -38,7 +44,8 @@ const std::vector<std::pair<std::string, std::string>> kOptions = {
                               "metrics.json}"},
     {"--max-cells <n>", "reject submissions whose grid exceeds n cells "
                         "(default 10000)"},
-    {"--http-workers <n>", "HTTP connection handler threads (default 4)"},
+    {"--http-workers <n>", "HTTP connection handler threads, at most 256 "
+                           "(default 4)"},
     {"--help", "show this message"},
 };
 
@@ -51,11 +58,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Counts are non-negative and ports fit in 16 bits; every numeric option
-  // is read before the error check, so a bad value exits 2.
+  // Counts are non-negative, thread counts at most kMaxThreads, and ports
+  // fit in 16 bits; every numeric option is read before the error check,
+  // so a bad value exits 2.
   serve::ServiceOptions opts;
   opts.workers = static_cast<std::size_t>(args.get_int(
-      "workers", static_cast<long long>(env::serve_workers()), 0));
+      "workers", static_cast<long long>(env::serve_workers()), 0,
+      kMaxThreads));
   opts.cache_dir = args.get_string("cache", env::serve_cache());
   opts.telemetry_dir = args.get_string("telemetry-dir", "");
   opts.max_cells =
@@ -64,11 +73,16 @@ int main(int argc, char** argv) {
   const std::string host = args.get_string("host", "127.0.0.1");
   const auto port =
       static_cast<std::uint16_t>(args.get_int("port", 8423, 0, 65535));
-  const auto http_workers =
-      static_cast<std::size_t>(args.get_int("http-workers", 4, 0));
-  if (!args.errors().empty()) {
+  const auto http_workers = static_cast<std::size_t>(
+      args.get_int("http-workers", 4, 0, kMaxThreads));
+  // get_int bounds --workers but not its default, QLEC_SERVE_WORKERS.
+  const bool env_too_big =
+      opts.workers > static_cast<std::size_t>(kMaxThreads);
+  if (!args.errors().empty() || env_too_big) {
     for (const std::string& key : args.errors())
       std::fprintf(stderr, "qlec_serve: bad value for --%s\n", key.c_str());
+    if (env_too_big)
+      std::fprintf(stderr, "qlec_serve: bad value for QLEC_SERVE_WORKERS\n");
     return 2;
   }
 
