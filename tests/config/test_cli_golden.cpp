@@ -97,6 +97,34 @@ TEST(CliGolden, Paper51MatchesCommittedDigest) {
       << "and commit tests/golden/paper_51.qlec.digest.";
 }
 
+TEST(CliGolden, Fig3SweepFcmMatchesCommittedDigest) {
+  // FCM's second pinned geometry (N = 100, k = 5, all four lambdas), the
+  // replay of  qlec_run fig3_sweep.json --set protocol.name=fcm
+  // --set seeds=2 --digest.
+  const std::string golden_path =
+      std::string(QLEC_GOLDEN_DIR) + "/fig3_fcm.digest";
+  auto cells = expand_grid(parse_scenario(scenario_text("fig3_sweep.json")),
+                           {{"protocol.name", JsonValue::make_string("fcm")},
+                            {"seeds", JsonValue::make_number(2)}});
+  ASSERT_EQ(cells.size(), bench::lambda_sweep().size());
+  for (SweepCell& cell : cells) cell.config.sim.trace.record = true;
+  const RunManifest m = run_grid(cells);
+
+  if (env::regen_golden()) {
+    std::ofstream(golden_path) << manifest_digest_lines(m);
+    return;
+  }
+  const std::vector<std::string> golden = read_digest_lines(golden_path);
+  ASSERT_FALSE(golden.empty())
+      << "missing " << golden_path
+      << " — run with QLEC_REGEN_GOLDEN=1 to (re)generate";
+  std::vector<std::string> actual;
+  for (const CellResult& c : m.cells)
+    actual.insert(actual.end(), c.digests.begin(), c.digests.end());
+  EXPECT_EQ(actual, golden)
+      << "FCM on the Fig. 3 grid diverged from its committed digest.";
+}
+
 TEST(CliGolden, Fig3SweepExpandsToDocumentedGrid) {
   // The --dry-run grid-shape contract for the committed sweep file: the
   // whole registry crossed with the four congestion levels of §5.2.
