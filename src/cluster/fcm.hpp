@@ -42,4 +42,11 @@ std::vector<std::size_t> fcm_select_heads(
     const FcmResult& fcm, const std::vector<double>& residual_energy,
     const std::vector<double>& initial_energy, double fuzzifier = 2.0);
 
+namespace detail {
+/// std::pow(x, y), bit for bit. A square (y == 2) skips the libm call when
+/// x * x is certain to be pow's own result. Every power in fcm.cpp goes
+/// through it; declared here for its test.
+double fcm_pow(double x, double y);
+}  // namespace detail
+
 }  // namespace qlec
