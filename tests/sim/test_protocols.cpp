@@ -11,6 +11,7 @@
 #include "sim/protocols/leach_protocol.hpp"
 #include "sim/protocols/qleach_protocol.hpp"
 #include "sim/protocols/reech_me_protocol.hpp"
+#include "sim/protocols/common.hpp"
 #include "sim/protocols/registry.hpp"
 #include "sim/scenario.hpp"
 
@@ -391,6 +392,81 @@ TEST(LedgerReconciliation, PerNodeTotalsMatchPerNodeConsumption) {
         << name << ": some charge was not node-attributed";
   }
 }
+
+// --- Member routing after a head goes down mid-round -------------------
+
+// The ten cluster-mode adapters differ only in how they elect heads; their
+// member routing is the same: the assigned head while it is operational,
+// otherwise the nearest operational head (the brute oracle's answer).
+class MemberRoutingFallback : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(MemberRoutingFallback, DownedHeadsMembersRerouteToNearestAliveHead) {
+  constexpr double kDeathLine = 0.05;
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    Rng rng(seed);
+    Network net = test_network(rng, 150);
+    ProtocolOptions opt;
+    opt.death_line = kDeathLine;
+    const auto proto = make_protocol(GetParam(), net, opt);
+    ASSERT_FALSE(proto->flat_routing());
+    EnergyLedger ledger;
+    proto->on_round_start(net, 0, rng, ledger);
+    const std::vector<int> heads = net.head_ids();
+    ASSERT_GE(heads.size(), 2u) << GetParam() << " seed " << seed;
+
+    std::vector<int> assigned(net.size(), kBaseStationId);
+    std::vector<std::size_t> members(net.size(), 0);
+    for (const SensorNode& n : net.nodes()) {
+      if (n.is_head) continue;
+      const int a = proto->route(net, n.id, 4000.0, rng);
+      assigned[static_cast<std::size_t>(n.id)] = a;
+      if (a != kBaseStationId) ++members[static_cast<std::size_t>(a)];
+    }
+    // Take down the two most-populated heads, one by draining it to the
+    // death line and one by clearing its fault-layer up flag.
+    std::vector<int> by_size = heads;
+    std::stable_sort(by_size.begin(), by_size.end(), [&](int a, int b) {
+      return members[static_cast<std::size_t>(a)] >
+             members[static_cast<std::size_t>(b)];
+    });
+    const int drained = by_size[0];
+    const int downed = by_size[1];
+    ASSERT_GT(members[static_cast<std::size_t>(drained)], 0u) << GetParam();
+    Battery& b = net.node(drained).battery;
+    b.consume(b.residual() - kDeathLine);
+    ASSERT_FALSE(net.node(drained).operational(kDeathLine));
+    net.node(downed).up = false;
+
+    const std::vector<int> nearest = detail::assign_nearest_head_brute(
+        net, net.head_ids(), kDeathLine);
+    std::size_t rerouted = 0;
+    for (const SensorNode& n : net.nodes()) {
+      if (n.is_head) continue;
+      const auto i = static_cast<std::size_t>(n.id);
+      const int got = proto->route(net, n.id, 4000.0, rng);
+      if (assigned[i] == drained || assigned[i] == downed) {
+        EXPECT_EQ(got, nearest[i])
+            << GetParam() << " seed " << seed << " node " << n.id;
+        ++rerouted;
+      } else {
+        EXPECT_EQ(got, assigned[i])
+            << GetParam() << " seed " << seed << " node " << n.id;
+      }
+    }
+    EXPECT_GT(rerouted, 0u) << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ClusterAdapters, MemberRoutingFallback,
+    ::testing::Values("leach", "deec", "tl-leach", "heed", "ideec", "kmeans",
+                      "fcm", "q-leach", "reech-me", "leach-rlc"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string s = info.param;
+      std::replace(s.begin(), s.end(), '-', '_');
+      return s;
+    });
 
 TEST(DirectProtocol, AlwaysRoutesToBs) {
   Rng rng(16);
