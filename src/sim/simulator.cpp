@@ -23,16 +23,15 @@ struct Stranded {
 };
 
 /// Structure-of-arrays round state (DESIGN.md §8). The per-node facts the
-/// inner loops touch — position, residual energy, liveness, head flag — are
-/// mirrored into flat contiguous arrays indexed by node id, refreshed once
-/// per round after election and written through on every battery mutation.
+/// inner loops touch — position, liveness, head flag — are mirrored into
+/// flat contiguous arrays indexed by node id, refreshed once per round
+/// after election; liveness is written through on every battery mutation.
 /// The authoritative state stays in Network/Battery; the mirrors exist so
 /// the per-packet path never chases SensorNode pointers or recomputes
 /// predicates, and they are kept exact (every value is read back from the
 /// battery right after the mutation), so traces stay bit-identical.
 struct RoundState {
   std::vector<Vec3> pos;              // position snapshot (post-mobility)
-  std::vector<double> residual;       // battery residual, write-through
   std::vector<std::uint8_t> alive;    // residual > death_line, write-through
   std::vector<std::uint8_t> is_head;  // this round's head flags
   std::vector<int> heads;             // this round's head ids, in id order
@@ -58,7 +57,6 @@ class SimRun {
     result_.protocol = protocol.name();
     const std::size_t n = net.size();
     rs_.pos.resize(n);
-    rs_.residual.resize(n);
     rs_.alive.resize(n);
     rs_.is_head.resize(n);
     rs_.queue_slot.assign(n, -1);
@@ -142,12 +140,12 @@ class SimRun {
     sync_battery(id, b);
   }
 
-  /// Re-reads one node's battery into the SoA mirror (after any mutation).
+  /// Re-reads one node's liveness into the SoA mirror (after any battery
+  /// mutation).
   /// Liveness folds in the fault-layer up flag: a crashed or stunned node
   /// is not alive no matter its residual.
   void sync_battery(int id, const Battery& b) {
     const auto i = static_cast<std::size_t>(id);
-    rs_.residual[i] = b.residual();
     rs_.alive[i] =
         (b.alive(cfg_.death_line) && net_.node(id).up) ? 1 : 0;
   }
@@ -171,7 +169,6 @@ class SimRun {
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const SensorNode& n = nodes[i];
       rs_.pos[i] = n.pos;
-      rs_.residual[i] = n.battery.residual();
       rs_.alive[i] = n.operational(cfg_.death_line) ? 1 : 0;
       rs_.is_head[i] = n.is_head ? 1 : 0;
     }
