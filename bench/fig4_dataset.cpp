@@ -60,7 +60,7 @@ int main() {
   // Theorem 1 on this geometry, for reference against the paper's 272.
   {
     const Network net = dataset_to_network(plants);
-    const double m_side = std::cbrt(net.domain().volume());
+    const double m_side = net.cube_side();
     std::printf("Theorem 1 on this deployment: k_opt = %zu "
                 "(paper pins 272; see EXPERIMENTS.md)\n\n",
                 optimal_cluster_count_rounded(net.size(), m_side,
@@ -76,7 +76,7 @@ int main() {
     const EvennessStats ev = compute_evenness(run.result.per_node_rate);
     // Spatial evenness: is high consumption CLUMPED (the failure mode the
     // paper's claim rules out)? Radius = the k=272 coverage radius.
-    const double m_side = std::cbrt(run.net.domain().volume());
+    const double m_side = run.net.cube_side();
     const double radius = cluster_radius(m_side, 272.0);
     const double moran = morans_i(run.net.positions(),
                                   run.result.per_node_rate, radius);

@@ -18,7 +18,7 @@ QlecProtocol::QlecProtocol(const Network& net, QlecParams params,
     params_.y_scale_bs = radio_.amp_energy(1.0, net.mean_dist_to_bs());
     router_ = QlecRouter(params_, radio_, net.size());
   }
-  const double m_side = std::cbrt(std::max(net.domain().volume(), 0.0));
+  const double m_side = net.cube_side();
   if (params_.force_k > 0) {
     k_opt_ = static_cast<std::size_t>(params_.force_k);
   } else {

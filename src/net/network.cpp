@@ -1,5 +1,7 @@
 #include "net/network.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace qlec {
@@ -21,6 +23,10 @@ Network::Network(const std::vector<Vec3>& positions, double initial_energy,
     : Network(positions,
               std::vector<double>(positions.size(), initial_energy), bs,
               domain) {}
+
+double Network::cube_side() const {
+  return std::cbrt(std::max(domain_.volume(), 0.0));
+}
 
 double Network::dist(int from, int to) const {
   const Vec3& a = node(from).pos;

@@ -26,6 +26,9 @@ class Network {
 
   std::size_t size() const noexcept { return nodes_.size(); }
   const Aabb& domain() const noexcept { return domain_; }
+  /// Side of the cube with the domain's volume (the m_side of the k_opt
+  /// and cluster-radius formulas); 0 for an empty or inverted domain.
+  double cube_side() const;
   const Vec3& bs() const noexcept { return bs_; }
   /// Moves the sink (BsTrajectory advances it at round boundaries). Every
   /// BS-distance consumer, QlecRouter's y(src, BS) included, reads through

@@ -1,38 +1,51 @@
 // Helpers shared by the baseline protocol adapters: nearest-head member
-// assignment and the HELLO control-energy charge (applied uniformly across
-// protocols so the Fig. 3(b) comparison is apples-to-apples).
+// assignment, the HELLO control-energy charge (applied uniformly across
+// protocols so the Fig. 3(b) comparison is apples-to-apples), and the
+// member-routing base the cluster-mode adapters derive from.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "energy/radio_model.hpp"
 #include "geom/spatial_grid.hpp"
 #include "net/network.hpp"
+#include "sim/protocol.hpp"
 #include "util/simd.hpp"
 
 namespace qlec::detail {
 
+/// Nearest alive head to node `id`: the first head in `heads` order with
+/// the strictly smallest distance among the operational ones, or
+/// kBaseStationId when none is operational.
+inline int nearest_alive_head(const Network& net,
+                              const std::vector<int>& heads, int id,
+                              double death_line) {
+  int nearest = kBaseStationId;
+  double best = std::numeric_limits<double>::infinity();
+  for (const int h : heads) {
+    if (!net.node(h).operational(death_line)) continue;
+    const double d = net.dist(id, h);
+    if (d < best) {
+      best = d;
+      nearest = h;
+    }
+  }
+  return nearest;
+}
+
 /// Reference O(N*k) implementation of nearest-alive-head assignment:
-/// assignment[i] = id of the nearest alive head for node i (kBaseStationId
-/// when no head is alive). Ties in distance go to the earliest head in
-/// `heads` order. Kept as the equivalence oracle for the grid-backed path.
+/// assignment[i] = nearest_alive_head(net, heads, i, death_line). Kept as
+/// the equivalence oracle for the grid-backed path.
 inline std::vector<int> assign_nearest_head_brute(
     const Network& net, const std::vector<int>& heads, double death_line) {
   std::vector<int> assignment(net.size(), kBaseStationId);
-  for (const SensorNode& n : net.nodes()) {
-    double best = std::numeric_limits<double>::infinity();
-    for (const int h : heads) {
-      if (!net.node(h).operational(death_line)) continue;
-      const double d = net.dist(n.id, h);
-      if (d < best) {
-        best = d;
-        assignment[static_cast<std::size_t>(n.id)] = h;
-      }
-    }
-  }
+  for (const SensorNode& n : net.nodes())
+    assignment[static_cast<std::size_t>(n.id)] =
+        nearest_alive_head(net, heads, n.id, death_line);
   return assignment;
 }
 
@@ -146,3 +159,57 @@ inline void charge_hello(Network& net, const std::vector<int>& heads,
 }
 
 }  // namespace qlec::detail
+
+namespace qlec {
+
+/// Member-routing half of every cluster-mode adapter (LEACH, DEEC,
+/// TL-LEACH, HEED, iDEEC, k-means, FCM, Q-LEACH, REECH-ME, LEACH-RLC):
+/// the adapter elects heads in on_round_start and ends it with
+/// settle_round(); route() sends a member to its assigned head while that
+/// head is operational, else to the nearest operational head.
+class AssignedHeadProtocol : public ClusteringProtocol {
+ public:
+  int route(const Network& net, int src, double bits, Rng& rng) final {
+    (void)bits;
+    (void)rng;
+    const int a = assignment_.at(static_cast<std::size_t>(src));
+    if (a != kBaseStationId && net.node(a).operational(death_line_))
+      return a;
+    // Assigned head went down mid-round: rejoin the nearest live head.
+    return detail::nearest_alive_head(net, net.head_ids(), src, death_line_);
+  }
+
+  /// This round's member -> head map (kBaseStationId: no head).
+  const std::vector<int>& assignment() const noexcept { return assignment_; }
+
+ protected:
+  AssignedHeadProtocol(double death_line, RadioModel radio,
+                       double hello_bits)
+      : death_line_(death_line), radio_(radio), hello_bits_(hello_bits) {}
+
+  /// Ends the election: stores `assignment` and charges the HELLO exchange
+  /// of `heads` over `hello_radius`.
+  void settle_round(Network& net, const std::vector<int>& heads,
+                    std::vector<int> assignment, double hello_radius,
+                    EnergyLedger& ledger) {
+    assignment_ = std::move(assignment);
+    detail::charge_hello(net, heads, assignment_, radio_, hello_bits_,
+                         hello_radius, death_line_, ledger);
+  }
+  /// Same, with every member assigned to its nearest alive head.
+  void settle_round(Network& net, const std::vector<int>& heads,
+                    double hello_radius, EnergyLedger& ledger) {
+    settle_round(net, heads,
+                 detail::assign_nearest_head(net, heads, death_line_),
+                 hello_radius, ledger);
+  }
+
+  const double death_line_;
+
+ private:
+  RadioModel radio_;
+  double hello_bits_;
+  std::vector<int> assignment_;
+};
+
+}  // namespace qlec

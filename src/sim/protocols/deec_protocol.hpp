@@ -4,15 +4,13 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "cluster/deec.hpp"
-#include "energy/radio_model.hpp"
-#include "sim/protocol.hpp"
+#include "sim/protocols/common.hpp"
 
 namespace qlec {
 
-class DeecProtocol final : public ClusteringProtocol {
+class DeecProtocol final : public AssignedHeadProtocol {
  public:
   DeecProtocol(DeecParams params, double death_line, RadioModel radio,
                double hello_bits = 200.0);
@@ -20,14 +18,9 @@ class DeecProtocol final : public ClusteringProtocol {
   std::string name() const override { return "DEEC"; }
   void on_round_start(Network& net, int round, Rng& rng,
                       EnergyLedger& ledger) override;
-  int route(const Network& net, int src, double bits, Rng& rng) override;
 
  private:
   DeecParams params_;
-  double death_line_;
-  RadioModel radio_;
-  double hello_bits_;
-  std::vector<int> assignment_;
 };
 
 }  // namespace qlec

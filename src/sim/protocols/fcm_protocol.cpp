@@ -1,30 +1,28 @@
 #include "sim/protocols/fcm_protocol.hpp"
 
-#include <cmath>
+#include <utility>
 
 #include "cluster/fcm.hpp"
 #include "core/optimal_k.hpp"
-#include "sim/protocols/common.hpp"
 
 namespace qlec {
 
 FcmProtocol::FcmProtocol(std::size_t k, int hierarchy_levels,
                          double death_line, RadioModel radio,
                          double hello_bits)
-    : k_(k == 0 ? 1 : k),
-      levels_(hierarchy_levels < 1 ? 1 : hierarchy_levels),
-      death_line_(death_line),
-      radio_(radio),
-      hello_bits_(hello_bits) {}
+    : AssignedHeadProtocol(death_line, radio, hello_bits),
+      k_(k == 0 ? 1 : k),
+      levels_(hierarchy_levels < 1 ? 1 : hierarchy_levels) {}
 
 void FcmProtocol::on_round_start(Network& net, int round, Rng& rng,
                                  EnergyLedger& ledger) {
-  (void)round;
   net.reset_heads();
+  const double hello_radius =
+      cluster_radius(net.cube_side(), static_cast<double>(k_));
   const std::vector<int> alive = net.alive_ids(death_line_);
   if (alive.empty()) {
-    assignment_.assign(net.size(), kBaseStationId);
     hierarchy_ = {};
+    settle_round(net, {}, hello_radius, ledger);
     return;
   }
   std::vector<Vec3> pts;
@@ -52,7 +50,7 @@ void FcmProtocol::on_round_start(Network& net, int round, Rng& rng,
 
   // Member assignment: argmax membership among clusters whose head is up
   // (hard assignment of the fuzzy partition).
-  assignment_.assign(net.size(), kBaseStationId);
+  std::vector<int> assignment(net.size(), kBaseStationId);
   for (std::size_t i = 0; i < alive.size(); ++i) {
     const auto& mem = fcm.membership[i];
     int best_head = kBaseStationId;
@@ -63,26 +61,11 @@ void FcmProtocol::on_round_start(Network& net, int round, Rng& rng,
         best_head = heads[c];
       }
     }
-    assignment_[static_cast<std::size_t>(alive[i])] = best_head;
+    assignment[static_cast<std::size_t>(alive[i])] = best_head;
   }
 
   hierarchy_ = build_fcm_hierarchy(net, heads, levels_);
-
-  const double m_side = std::cbrt(std::max(net.domain().volume(), 0.0));
-  detail::charge_hello(net, heads, assignment_, radio_, hello_bits_,
-                       cluster_radius(m_side, static_cast<double>(k_)),
-                       death_line_, ledger);
-}
-
-int FcmProtocol::route(const Network& net, int src, double bits, Rng& rng) {
-  (void)bits;
-  (void)rng;
-  const int a = assignment_.at(static_cast<std::size_t>(src));
-  if (a != kBaseStationId && net.node(a).operational(death_line_))
-    return a;
-  const std::vector<int> fresh =
-      detail::assign_nearest_head(net, net.head_ids(), death_line_);
-  return fresh.at(static_cast<std::size_t>(src));
+  settle_round(net, heads, std::move(assignment), hello_radius, ledger);
 }
 
 int FcmProtocol::uplink_target(const Network& net, int head, Rng& rng) {

@@ -4,15 +4,13 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "cluster/fcm_routing.hpp"
-#include "energy/radio_model.hpp"
-#include "sim/protocol.hpp"
+#include "sim/protocols/common.hpp"
 
 namespace qlec {
 
-class FcmProtocol final : public ClusteringProtocol {
+class FcmProtocol final : public AssignedHeadProtocol {
  public:
   FcmProtocol(std::size_t k, int hierarchy_levels, double death_line,
               RadioModel radio, double hello_bits = 200.0);
@@ -20,7 +18,6 @@ class FcmProtocol final : public ClusteringProtocol {
   std::string name() const override { return "FCM"; }
   void on_round_start(Network& net, int round, Rng& rng,
                       EnergyLedger& ledger) override;
-  int route(const Network& net, int src, double bits, Rng& rng) override;
   int uplink_target(const Network& net, int head, Rng& rng) override;
 
   const FcmHierarchy& hierarchy() const noexcept { return hierarchy_; }
@@ -28,10 +25,6 @@ class FcmProtocol final : public ClusteringProtocol {
  private:
   std::size_t k_;
   int levels_;
-  double death_line_;
-  RadioModel radio_;
-  double hello_bits_;
-  std::vector<int> assignment_;
   FcmHierarchy hierarchy_;
 };
 

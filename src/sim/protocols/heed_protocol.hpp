@@ -3,15 +3,13 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "cluster/heed.hpp"
-#include "energy/radio_model.hpp"
-#include "sim/protocol.hpp"
+#include "sim/protocols/common.hpp"
 
 namespace qlec {
 
-class HeedProtocol final : public ClusteringProtocol {
+class HeedProtocol final : public AssignedHeadProtocol {
  public:
   HeedProtocol(HeedConfig cfg, double death_line, RadioModel radio,
                double hello_bits = 200.0);
@@ -19,14 +17,9 @@ class HeedProtocol final : public ClusteringProtocol {
   std::string name() const override { return "HEED"; }
   void on_round_start(Network& net, int round, Rng& rng,
                       EnergyLedger& ledger) override;
-  int route(const Network& net, int src, double bits, Rng& rng) override;
 
  private:
   HeedConfig cfg_;
-  double death_line_;
-  RadioModel radio_;
-  double hello_bits_;
-  std::vector<int> assignment_;
 };
 
 }  // namespace qlec

@@ -6,15 +6,13 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "core/improved_deec.hpp"
-#include "energy/radio_model.hpp"
-#include "sim/protocol.hpp"
+#include "sim/protocols/common.hpp"
 
 namespace qlec {
 
-class ImprovedDeecProtocol final : public ClusteringProtocol {
+class ImprovedDeecProtocol final : public AssignedHeadProtocol {
  public:
   /// `k` is the target head count (p_opt = k / N); `total_rounds` feeds the
   /// Eq. 2 / Eq. 4 schedules.
@@ -24,17 +22,12 @@ class ImprovedDeecProtocol final : public ClusteringProtocol {
   std::string name() const override { return "iDEEC"; }
   void on_round_start(Network& net, int round, Rng& rng,
                       EnergyLedger& ledger) override;
-  int route(const Network& net, int src, double bits, Rng& rng) override;
 
   const ElectionStats& last_election() const noexcept { return stats_; }
 
  private:
   std::size_t k_;
   int total_rounds_;
-  double death_line_;
-  RadioModel radio_;
-  double hello_bits_;
-  std::vector<int> assignment_;
   ElectionStats stats_{};
 };
 

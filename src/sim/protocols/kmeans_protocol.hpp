@@ -5,14 +5,12 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "energy/radio_model.hpp"
-#include "sim/protocol.hpp"
+#include "sim/protocols/common.hpp"
 
 namespace qlec {
 
-class KmeansProtocol final : public ClusteringProtocol {
+class KmeansProtocol final : public AssignedHeadProtocol {
  public:
   KmeansProtocol(std::size_t k, double death_line, RadioModel radio,
                  double hello_bits = 200.0);
@@ -20,16 +18,9 @@ class KmeansProtocol final : public ClusteringProtocol {
   std::string name() const override { return "k-means"; }
   void on_round_start(Network& net, int round, Rng& rng,
                       EnergyLedger& ledger) override;
-  int route(const Network& net, int src, double bits, Rng& rng) override;
-
-  const std::vector<int>& assignment() const noexcept { return assignment_; }
 
  private:
   std::size_t k_;
-  double death_line_;
-  RadioModel radio_;
-  double hello_bits_;
-  std::vector<int> assignment_;
 };
 
 }  // namespace qlec

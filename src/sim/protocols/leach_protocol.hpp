@@ -3,14 +3,12 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "energy/radio_model.hpp"
-#include "sim/protocol.hpp"
+#include "sim/protocols/common.hpp"
 
 namespace qlec {
 
-class LeachProtocol final : public ClusteringProtocol {
+class LeachProtocol final : public AssignedHeadProtocol {
  public:
   LeachProtocol(double p, double death_line, RadioModel radio,
                 double hello_bits = 200.0);
@@ -18,14 +16,9 @@ class LeachProtocol final : public ClusteringProtocol {
   std::string name() const override { return "LEACH"; }
   void on_round_start(Network& net, int round, Rng& rng,
                       EnergyLedger& ledger) override;
-  int route(const Network& net, int src, double bits, Rng& rng) override;
 
  private:
   double p_;
-  double death_line_;
-  RadioModel radio_;
-  double hello_bits_;
-  std::vector<int> assignment_;
 };
 
 }  // namespace qlec

@@ -12,13 +12,12 @@
 #include <string>
 #include <vector>
 
-#include "energy/radio_model.hpp"
 #include "sim/controller.hpp"
-#include "sim/protocol.hpp"
+#include "sim/protocols/common.hpp"
 
 namespace qlec {
 
-class LeachRlcProtocol final : public ClusteringProtocol {
+class LeachRlcProtocol final : public AssignedHeadProtocol {
  public:
   LeachRlcProtocol(std::unique_ptr<Controller> controller, double death_line,
                    RadioModel radio, double hello_bits = 200.0);
@@ -26,7 +25,6 @@ class LeachRlcProtocol final : public ClusteringProtocol {
   std::string name() const override { return "LEACH-RLC"; }
   void on_round_start(Network& net, int round, Rng& rng,
                       EnergyLedger& ledger) override;
-  int route(const Network& net, int src, double bits, Rng& rng) override;
   void on_round_end(Network& net, int round) override;
   std::size_t learning_updates() const override {
     return controller_->updates();
@@ -36,11 +34,7 @@ class LeachRlcProtocol final : public ClusteringProtocol {
 
  private:
   std::unique_ptr<Controller> controller_;
-  double death_line_;
-  RadioModel radio_;
-  double hello_bits_;
   std::vector<int> heads_;
-  std::vector<int> assignment_;
 };
 
 }  // namespace qlec

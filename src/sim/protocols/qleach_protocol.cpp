@@ -1,19 +1,18 @@
 #include "sim/protocols/qleach_protocol.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
 
 #include "cluster/leach.hpp"
 #include "core/optimal_k.hpp"
-#include "sim/protocols/common.hpp"
 
 namespace qlec {
 
 QLeachProtocol::QLeachProtocol(double p, SectorMode mode, double death_line,
                                RadioModel radio, double hello_bits)
-    : p_(p), mode_(mode), death_line_(death_line), radio_(radio),
-      hello_bits_(hello_bits) {}
+    : AssignedHeadProtocol(death_line, radio, hello_bits),
+      p_(p),
+      mode_(mode) {}
 
 void QLeachProtocol::on_round_start(Network& net, int round, Rng& rng,
                                     EnergyLedger& ledger) {
@@ -66,43 +65,20 @@ void QLeachProtocol::on_round_start(Network& net, int round, Rng& rng,
   // Members join the nearest alive head of their own sector; a sector with
   // no head (possible only when it holds no operational node) falls back to
   // the global nearest. RNG-free and id-ordered.
-  assignment_.assign(net.size(), kBaseStationId);
+  std::vector<int> assignment(net.size(), kBaseStationId);
   for (const SensorNode& n : net.nodes()) {
     const std::vector<int>& local =
         sector_heads[static_cast<std::size_t>(
             sector[static_cast<std::size_t>(n.id)])];
-    const std::vector<int>& cands = local.empty() ? heads : local;
-    double best = std::numeric_limits<double>::infinity();
-    for (const int h : cands) {
-      const double d = net.dist(n.id, h);
-      if (d < best) {
-        best = d;
-        assignment_[static_cast<std::size_t>(n.id)] = h;
-      }
-    }
+    assignment[static_cast<std::size_t>(n.id)] = detail::nearest_alive_head(
+        net, local.empty() ? heads : local, n.id, death_line_);
   }
 
-  const double m_side = std::cbrt(std::max(net.domain().volume(), 0.0));
   const double k_expected =
       std::max(static_cast<double>(sectors),
                p_ * static_cast<double>(net.size()));
-  detail::charge_hello(net, heads, assignment_, radio_, hello_bits_,
-                       cluster_radius(m_side, k_expected), death_line_,
-                       ledger);
-}
-
-int QLeachProtocol::route(const Network& net, int src, double bits,
-                          Rng& rng) {
-  (void)bits;
-  (void)rng;
-  const int a = assignment_.at(static_cast<std::size_t>(src));
-  if (a != kBaseStationId && net.node(a).operational(death_line_))
-    return a;
-  // Mid-round repair: the sector head died, so rejoin the global nearest
-  // alive head (crossing the sector line beats dropping the packet).
-  const std::vector<int> fresh =
-      detail::assign_nearest_head(net, net.head_ids(), death_line_);
-  return fresh.at(static_cast<std::size_t>(src));
+  settle_round(net, heads, std::move(assignment),
+               cluster_radius(net.cube_side(), k_expected), ledger);
 }
 
 }  // namespace qlec

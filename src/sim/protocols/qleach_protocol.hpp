@@ -9,15 +9,13 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "energy/radio_model.hpp"
 #include "geom/sectors.hpp"
-#include "sim/protocol.hpp"
+#include "sim/protocols/common.hpp"
 
 namespace qlec {
 
-class QLeachProtocol final : public ClusteringProtocol {
+class QLeachProtocol final : public AssignedHeadProtocol {
  public:
   QLeachProtocol(double p, SectorMode mode, double death_line,
                  RadioModel radio, double hello_bits = 200.0);
@@ -25,15 +23,10 @@ class QLeachProtocol final : public ClusteringProtocol {
   std::string name() const override { return "Q-LEACH"; }
   void on_round_start(Network& net, int round, Rng& rng,
                       EnergyLedger& ledger) override;
-  int route(const Network& net, int src, double bits, Rng& rng) override;
 
  private:
   double p_;
   SectorMode mode_;
-  double death_line_;
-  RadioModel radio_;
-  double hello_bits_;
-  std::vector<int> assignment_;
 };
 
 }  // namespace qlec

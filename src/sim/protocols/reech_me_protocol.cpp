@@ -1,18 +1,15 @@
 #include "sim/protocols/reech_me_protocol.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
 
 #include "core/optimal_k.hpp"
-#include "sim/protocols/common.hpp"
 
 namespace qlec {
 
 ReechMeProtocol::ReechMeProtocol(SectorMode mode, double death_line,
                                  RadioModel radio, double hello_bits)
-    : mode_(mode), death_line_(death_line), radio_(radio),
-      hello_bits_(hello_bits) {}
+    : AssignedHeadProtocol(death_line, radio, hello_bits), mode_(mode) {}
 
 void ReechMeProtocol::on_round_start(Network& net, int round, Rng& rng,
                                      EnergyLedger& ledger) {
@@ -48,44 +45,22 @@ void ReechMeProtocol::on_round_start(Network& net, int round, Rng& rng,
   // Region-aware membership: every node reports to its own region's head;
   // nodes in a bare region (no operational node at all) fall back to the
   // global nearest alive head. RNG-free and id-ordered.
-  assignment_.assign(net.size(), kBaseStationId);
+  std::vector<int> assignment(net.size(), kBaseStationId);
   for (const SensorNode& n : net.nodes()) {
     const int rh =
         region_head[static_cast<std::size_t>(
             sector[static_cast<std::size_t>(n.id)])];
-    if (rh != kBaseStationId) {
-      assignment_[static_cast<std::size_t>(n.id)] = rh;
-      continue;
-    }
-    double best = std::numeric_limits<double>::infinity();
-    for (const int h : heads) {
-      const double d = net.dist(n.id, h);
-      if (d < best) {
-        best = d;
-        assignment_[static_cast<std::size_t>(n.id)] = h;
-      }
-    }
+    assignment[static_cast<std::size_t>(n.id)] =
+        rh != kBaseStationId
+            ? rh
+            : detail::nearest_alive_head(net, heads, n.id, death_line_);
   }
 
-  const double m_side = std::cbrt(std::max(net.domain().volume(), 0.0));
-  detail::charge_hello(net, heads, assignment_, radio_, hello_bits_,
-                       cluster_radius(m_side,
-                                      std::max<double>(1.0,
-                                                       static_cast<double>(
-                                                           sectors))),
-                       death_line_, ledger);
-}
-
-int ReechMeProtocol::route(const Network& net, int src, double bits,
-                           Rng& rng) {
-  (void)bits;
-  (void)rng;
-  const int a = assignment_.at(static_cast<std::size_t>(src));
-  if (a != kBaseStationId && net.node(a).operational(death_line_))
-    return a;
-  const std::vector<int> fresh =
-      detail::assign_nearest_head(net, net.head_ids(), death_line_);
-  return fresh.at(static_cast<std::size_t>(src));
+  settle_round(net, heads, std::move(assignment),
+               cluster_radius(net.cube_side(),
+                              std::max<double>(
+                                  1.0, static_cast<double>(sectors))),
+               ledger);
 }
 
 }  // namespace qlec

@@ -7,15 +7,13 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "energy/radio_model.hpp"
 #include "geom/sectors.hpp"
-#include "sim/protocol.hpp"
+#include "sim/protocols/common.hpp"
 
 namespace qlec {
 
-class ReechMeProtocol final : public ClusteringProtocol {
+class ReechMeProtocol final : public AssignedHeadProtocol {
  public:
   ReechMeProtocol(SectorMode mode, double death_line, RadioModel radio,
                   double hello_bits = 200.0);
@@ -23,14 +21,9 @@ class ReechMeProtocol final : public ClusteringProtocol {
   std::string name() const override { return "REECH-ME"; }
   void on_round_start(Network& net, int round, Rng& rng,
                       EnergyLedger& ledger) override;
-  int route(const Network& net, int src, double bits, Rng& rng) override;
 
  private:
   SectorMode mode_;
-  double death_line_;
-  RadioModel radio_;
-  double hello_bits_;
-  std::vector<int> assignment_;
 };
 
 }  // namespace qlec

@@ -1,6 +1,6 @@
 #include "sim/protocols/registry.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/optimal_k.hpp"
@@ -25,8 +25,7 @@ std::size_t resolve_k(const Network& net, const ProtocolOptions& opt) {
   if (opt.k > 0) return opt.k;
   if (opt.qlec.force_k > 0)
     return static_cast<std::size_t>(opt.qlec.force_k);
-  const double m_side = std::cbrt(std::max(net.domain().volume(), 0.0));
-  return optimal_cluster_count_rounded(net.size(), m_side,
+  return optimal_cluster_count_rounded(net.size(), net.cube_side(),
                                        net.mean_dist_to_bs(), opt.radio);
 }
 
@@ -70,9 +69,8 @@ std::unique_ptr<ClusteringProtocol> make_protocol(const std::string& name,
   }
   if (name == "heed") {
     HeedConfig hc;
-    hc.cluster_range = cluster_radius(
-        std::cbrt(std::max(net.domain().volume(), 0.0)),
-        static_cast<double>(k));
+    hc.cluster_range =
+        cluster_radius(net.cube_side(), static_cast<double>(k));
     hc.c_prob = p;
     return std::make_unique<HeedProtocol>(hc, opt.death_line, radio,
                                           opt.hello_bits);
@@ -85,9 +83,8 @@ std::unique_ptr<ClusteringProtocol> make_protocol(const std::string& name,
     qc.qelar.gamma = opt.qlec.gamma;
     // Scale the neighbour radius with the deployment (~cluster radius for
     // k_opt keeps the graph connected without being complete).
-    const double m_side = std::cbrt(std::max(net.domain().volume(), 0.0));
-    qc.comm_range =
-        std::max(40.0, 1.2 * cluster_radius(m_side, static_cast<double>(k)));
+    qc.comm_range = std::max(
+        40.0, 1.2 * cluster_radius(net.cube_side(), static_cast<double>(k)));
     return std::make_unique<QelarProtocol>(qc);
   }
   if (name == "q-leach")

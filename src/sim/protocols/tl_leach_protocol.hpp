@@ -4,15 +4,13 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "cluster/tl_leach.hpp"
-#include "energy/radio_model.hpp"
-#include "sim/protocol.hpp"
+#include "sim/protocols/common.hpp"
 
 namespace qlec {
 
-class TlLeachProtocol final : public ClusteringProtocol {
+class TlLeachProtocol final : public AssignedHeadProtocol {
  public:
   TlLeachProtocol(double p_primary, double p_secondary, double death_line,
                   RadioModel radio, double hello_bits = 200.0);
@@ -20,7 +18,6 @@ class TlLeachProtocol final : public ClusteringProtocol {
   std::string name() const override { return "TL-LEACH"; }
   void on_round_start(Network& net, int round, Rng& rng,
                       EnergyLedger& ledger) override;
-  int route(const Network& net, int src, double bits, Rng& rng) override;
   int uplink_target(const Network& net, int head, Rng& rng) override;
 
   const TlLeachLevels& levels() const noexcept { return levels_; }
@@ -28,10 +25,6 @@ class TlLeachProtocol final : public ClusteringProtocol {
  private:
   double p_primary_;
   double p_secondary_;
-  double death_line_;
-  RadioModel radio_;
-  double hello_bits_;
-  std::vector<int> assignment_;
   TlLeachLevels levels_;
 };
 
