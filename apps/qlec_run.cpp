@@ -6,8 +6,10 @@
 //   ./build/apps/qlec_run examples/scenarios/fig3_sweep.json --jobs 8
 //       --out runs/fig3
 //   ./build/apps/qlec_run scenario.json --set scenario.n=500 --dry-run
-//   ./build/apps/qlec_run examples/scenarios/paper_51.json --digest
+//   ./build/apps/qlec_run examples/scenarios/paper_51.json
 //       --expect-digests tests/golden/paper_51.qlec.digest
+//   ./build/apps/qlec_run examples/scenarios/paper_51.json --digest
+//       > tests/golden/paper_51.qlec.digest
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -41,7 +43,9 @@ const std::vector<std::pair<std::string, std::string>> kOptions = {
                             "are stored (QLEC_SERVE_CACHE sets the "
                             "default)"},
     {"--json", "print the JSON manifest to stdout instead of CSV"},
-    {"--digest", "record per-seed traces and print their digests"},
+    {"--digest", "record per-seed traces and print only their digest "
+                 "lines on stdout (the --expect-digests format; the "
+                 "manifest still goes to --out)"},
     {"--expect-digests <file>", "compare digests against <file> (golden "
                                 "format: hex lines, # comments); exit 1 on "
                                 "mismatch (implies --digest)"},
@@ -208,12 +212,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "wrote %smanifest.{json,csv}\n", base.c_str());
   }
 
-  if (args.has("json"))
+  // stdout carries one format, so `--digest > f` is a golden file.
+  if (args.has("digest"))
+    std::fputs(config::manifest_digest_lines(manifest).c_str(), stdout);
+  else if (args.has("json"))
     std::printf("%s\n", config::manifest_to_json(manifest).c_str());
   else
     std::fputs(config::manifest_to_csv(manifest).c_str(), stdout);
-  if (want_digests)
-    std::fputs(config::manifest_digest_lines(manifest).c_str(), stdout);
 
   if (const auto golden_path = args.get("expect-digests")) {
     const auto golden_text = read_text_file(*golden_path);

@@ -19,15 +19,11 @@
 #include "serve/service.hpp"
 #include "util/cli.hpp"
 #include "util/env.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace qlec;
-
-/// Upper bound on every thread count qlec_serve takes (--workers,
-/// --http-workers, QLEC_SERVE_WORKERS): a mistyped count must not start
-/// millions of threads.
-constexpr long long kMaxThreads = 256;
 
 const std::vector<std::pair<std::string, std::string>> kOptions = {
     {"--host <addr>", "listen address (IPv4 literal, default 127.0.0.1)"},
@@ -58,13 +54,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Counts are non-negative, thread counts at most kMaxThreads, and ports
+  // Counts are non-negative, thread counts (--workers, --http-workers,
+  // QLEC_SERVE_WORKERS) at most the library's kMaxThreads, and ports
   // fit in 16 bits; every numeric option is read before the error check,
   // so a bad value exits 2.
   serve::ServiceOptions opts;
   opts.workers = static_cast<std::size_t>(args.get_int(
       "workers", static_cast<long long>(env::serve_workers()), 0,
-      kMaxThreads));
+      static_cast<long long>(kMaxThreads)));
   opts.cache_dir = args.get_string("cache", env::serve_cache());
   opts.telemetry_dir = args.get_string("telemetry-dir", "");
   opts.max_cells =
@@ -74,10 +71,10 @@ int main(int argc, char** argv) {
   const auto port =
       static_cast<std::uint16_t>(args.get_int("port", 8423, 0, 65535));
   const auto http_workers = static_cast<std::size_t>(
-      args.get_int("http-workers", 4, 0, kMaxThreads));
+      args.get_int("http-workers", 4, 0,
+                   static_cast<long long>(kMaxThreads)));
   // get_int bounds --workers but not its default, QLEC_SERVE_WORKERS.
-  const bool env_too_big =
-      opts.workers > static_cast<std::size_t>(kMaxThreads);
+  const bool env_too_big = opts.workers > kMaxThreads;
   if (!args.errors().empty() || env_too_big) {
     for (const std::string& key : args.errors())
       std::fprintf(stderr, "qlec_serve: bad value for --%s\n", key.c_str());

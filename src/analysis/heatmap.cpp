@@ -41,10 +41,6 @@ double GridHeatmap::cell_mean(std::size_t ix, std::size_t iy) const {
   return sum_[idx(ix, iy)] / static_cast<double>(c);
 }
 
-std::size_t GridHeatmap::cell_count(std::size_t ix, std::size_t iy) const {
-  return count_.at(idx(ix, iy));
-}
-
 std::string GridHeatmap::render() const {
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();

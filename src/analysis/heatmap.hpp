@@ -21,7 +21,6 @@ class GridHeatmap {
   std::size_t ny() const noexcept { return ny_; }
   /// Mean of samples in cell (ix, iy); NaN when the cell is empty.
   double cell_mean(std::size_t ix, std::size_t iy) const;
-  std::size_t cell_count(std::size_t ix, std::size_t iy) const;
 
   /// Character rendering: cells shaded ' .:-=+*#%@' by mean value between
   /// the occupied-cell min and max; empty cells print ' '. One row per

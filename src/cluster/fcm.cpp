@@ -33,16 +33,6 @@ double fcm_pow(double x, double y) {
 
 using detail::fcm_pow;
 
-std::vector<int> FcmResult::harden() const {
-  std::vector<int> out(membership.size(), 0);
-  for (std::size_t i = 0; i < membership.size(); ++i) {
-    const auto& row = membership[i];
-    out[i] = static_cast<int>(
-        std::max_element(row.begin(), row.end()) - row.begin());
-  }
-  return out;
-}
-
 FcmResult fuzzy_cmeans(const std::vector<Vec3>& points, std::size_t k,
                        Rng& rng, const FcmConfig& cfg) {
   FcmResult result;

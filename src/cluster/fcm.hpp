@@ -24,9 +24,6 @@ struct FcmResult {
   std::vector<std::vector<double>> membership;
   double objective = 0.0;  ///< J_m = sum u^m d^2
   int iterations = 0;
-
-  /// Hardened assignment (argmax membership per point).
-  std::vector<int> harden() const;
 };
 
 /// Runs FCM from a random membership initialization. k clamped to

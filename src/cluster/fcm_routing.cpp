@@ -53,16 +53,4 @@ int fcm_next_hop(const Network& net, const FcmHierarchy& hierarchy,
   return best;  // no inner head found => direct to BS
 }
 
-std::vector<int> fcm_route_to_bs(const Network& net,
-                                 const FcmHierarchy& hierarchy,
-                                 int from_head) {
-  std::vector<int> path;
-  int current = from_head;
-  while (current != kBaseStationId) {
-    current = fcm_next_hop(net, hierarchy, current);
-    path.push_back(current);
-  }
-  return path;
-}
-
 }  // namespace qlec

@@ -28,14 +28,9 @@ FcmHierarchy build_fcm_hierarchy(const Network& net,
 
 /// Next hop for head `from_head`: the nearest head whose hierarchy level is
 /// strictly lower; the innermost ring (level 0) — or any head with no inner
-/// neighbour — uplinks straight to the BS (kBaseStationId).
+/// neighbour — uplinks straight to the BS (kBaseStationId). Following it
+/// always reaches the BS, because levels strictly decrease.
 int fcm_next_hop(const Network& net, const FcmHierarchy& hierarchy,
                  int from_head);
-
-/// Full relay path from `from_head` to the BS (inclusive of the BS
-/// sentinel); guaranteed to terminate because levels strictly decrease.
-std::vector<int> fcm_route_to_bs(const Network& net,
-                                 const FcmHierarchy& hierarchy,
-                                 int from_head);
 
 }  // namespace qlec

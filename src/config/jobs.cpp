@@ -8,6 +8,7 @@
 
 #include "config/schema.hpp"
 #include "util/csv.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qlec::config {
 
@@ -244,6 +245,11 @@ bool heap_before(const std::shared_ptr<Job>& a, const std::shared_ptr<Job>& b) {
 }  // namespace
 
 JobRunner::JobRunner(JobRunnerOptions opts) : opts_(opts) {
+  if (opts_.workers > kMaxThreads)
+    throw std::invalid_argument("JobRunner: " +
+                                std::to_string(opts_.workers) +
+                                " workers exceed the cap of " +
+                                std::to_string(kMaxThreads));
   const std::size_t n = std::max<std::size_t>(1, opts_.workers);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)

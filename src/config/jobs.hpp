@@ -157,7 +157,9 @@ class JobHandle {
 };
 
 struct JobRunnerOptions {
-  /// Scheduler width: how many cells simulate concurrently (>= 1).
+  /// Scheduler width: how many cells simulate concurrently (>= 1; 0 means
+  /// 1). More than kMaxThreads (util/thread_pool.hpp) throws
+  /// std::invalid_argument from the JobRunner constructor.
   std::size_t workers = 1;
   /// Replication fan-out inside one cell. Serial (the default) additionally
   /// enables between-seed cancellation checks; any policy is bit-identical.

@@ -102,8 +102,8 @@ CellResult cell_record_from_json(const std::string& text,
 std::string manifest_to_csv(const RunManifest& m);
 
 /// All digests in golden-file order (cell-major, seed-minor), one per line,
-/// with a leading comment naming each cell — the format
-/// `qlec_run --digest --out` writes and `--expect-digests` reads.
+/// with a leading comment naming each cell — the format `qlec_run --digest`
+/// prints (and writes to --out's digests.txt) and `--expect-digests` reads.
 std::string manifest_digest_lines(const RunManifest& m);
 
 }  // namespace qlec::config

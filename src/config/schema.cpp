@@ -390,11 +390,4 @@ ExperimentConfig experiment_from_json(const JsonValue& v,
   return out;
 }
 
-ExperimentConfig parse_experiment(const std::string& text) {
-  std::string error;
-  const std::optional<JsonValue> doc = parse_json(text, &error);
-  if (!doc) throw ConfigError("", "malformed JSON: " + error);
-  return experiment_from_json(*doc);
-}
-
 }  // namespace qlec::config

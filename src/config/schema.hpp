@@ -14,9 +14,9 @@
 //     out-of-domain leaves are rejected with a path-qualified ConfigError
 //     ("sim.fault.hazards.crash_per_node: expected number in [0, 1], got
 //     \"high\"").
-//   * parse_experiment(experiment_to_json(cfg)) == cfg for every
-//     representable config (integers up to 2^53; see DESIGN.md §11 for the
-//     compatibility policy).
+//   * experiment_from_json(parse_json(experiment_to_json(cfg))) == cfg for
+//     every representable config (integers up to 2^53; see DESIGN.md §11
+//     for the compatibility policy).
 #pragma once
 
 #include <stdexcept>
@@ -97,9 +97,5 @@ ExperimentConfig experiment_from_json(const JsonValue& v,
 ExperimentConfig experiment_from_json(const JsonValue& v,
                                       const ExperimentConfig& base,
                                       const std::string& path = "");
-
-/// parse_json + experiment_from_json. Malformed JSON becomes a ConfigError
-/// with an empty path and the parser's byte-offset message.
-ExperimentConfig parse_experiment(const std::string& text);
 
 }  // namespace qlec::config

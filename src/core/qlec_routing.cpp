@@ -9,6 +9,12 @@
 
 namespace qlec {
 
+double TwoOutcomeTransition::q_value(double gamma) const noexcept {
+  const double p = p_success;
+  const double rt = p * reward_success + (1.0 - p) * reward_failure;
+  return rt + gamma * (p * v_success + (1.0 - p) * v_failure);
+}
+
 QlecRouter::QlecRouter(QlecParams params, RadioModel radio,
                        std::size_t n_nodes)
     : params_(params), radio_(radio), v_(n_nodes, 0.0) {}

@@ -2,6 +2,12 @@
 // non-cluster-head node picks a relay by a model-based Q-learning backup over
 // the action set {forward to head h_j} ∪ {direct to BS}, with transition
 // probabilities estimated from ACK history and rewards from Eq. 16-20.
+//
+// The backup is the paper's Eq. 15: the agent estimates transition
+// probabilities and computes Q*(s,a) = R_t + gamma * sum_s' P(s'|s,a) V*(s')
+// directly instead of sampling. QLEC's MDP has exactly two successors per
+// action (delivery succeeded -> h_j, failed -> stay at b_i), captured by
+// TwoOutcomeTransition; the tests validate it against exact value iteration.
 #pragma once
 
 #include <cstddef>
@@ -11,10 +17,22 @@
 #include "energy/radio_model.hpp"
 #include "net/link.hpp"
 #include "net/network.hpp"
-#include "rl/qlearning.hpp"
 #include "util/rng.hpp"
 
 namespace qlec {
+
+/// The QLEC backup: one action, two outcomes (success / stay-put).
+struct TwoOutcomeTransition {
+  double p_success = 1.0;     ///< P^{a_j}_{b_i h_j}
+  double reward_success = 0;  ///< R^{a_j}_{b_i h_j} (Eq. 17 / 19)
+  double reward_failure = 0;  ///< R^{a_j}_{b_i b_i} (Eq. 20)
+  double v_success = 0;       ///< V*(h_j)
+  double v_failure = 0;       ///< V*(b_i)
+
+  /// Q = R_t + gamma (p V(h_j) + (1-p) V(b_i)) with
+  /// R_t = p r_s + (1-p) r_f   (Eq. 16 substituted into Eq. 15).
+  double q_value(double gamma) const noexcept;
+};
 
 class QlecRouter {
  public:

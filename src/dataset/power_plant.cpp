@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cmath>
 #include <numbers>
-#include <sstream>
 
 #include "util/csv.hpp"
 
@@ -69,22 +68,6 @@ std::optional<std::vector<PowerPlant>> parse_power_plants(
     plants.push_back(std::move(p));
   }
   return plants;
-}
-
-std::string format_power_plants(const std::vector<PowerPlant>& plants) {
-  std::ostringstream out;
-  CsvWriter w(out);
-  w.write_row(CsvRow{"name", "capacity_mw", "latitude", "longitude",
-                     "height_m"});
-  for (const PowerPlant& p : plants) {
-    char cap[32], lat[32], lon[32], h[32];
-    std::snprintf(cap, sizeof cap, "%.6g", p.capacity_mw);
-    std::snprintf(lat, sizeof lat, "%.8g", p.latitude);
-    std::snprintf(lon, sizeof lon, "%.8g", p.longitude);
-    std::snprintf(h, sizeof h, "%.6g", p.height_m);
-    w.write_row(CsvRow{p.name, cap, lat, lon, h});
-  }
-  return out.str();
 }
 
 Network dataset_to_network(const std::vector<PowerPlant>& plants,

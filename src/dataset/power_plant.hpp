@@ -30,9 +30,6 @@ struct PowerPlant {
 std::optional<std::vector<PowerPlant>> parse_power_plants(
     const std::string& csv_text);
 
-/// Serializes with the same schema (always includes height_m).
-std::string format_power_plants(const std::vector<PowerPlant>& plants);
-
 /// Conversion knobs for dataset -> Network.
 struct DatasetNetworkConfig {
   /// Initial energy mapped affinely from log10(capacity): a plant at the

@@ -31,17 +31,6 @@ void EnergyLedger::charge(EnergyUse use, double joules, int node) noexcept {
     per_node_[static_cast<std::size_t>(node)] += joules;
 }
 
-void EnergyLedger::merge(const EnergyLedger& other) noexcept {
-  for (int i = 0; i < static_cast<int>(EnergyUse::kCount_); ++i)
-    buckets_[i] += other.buckets_[i];
-  if (!other.per_node_.empty()) {
-    if (per_node_.size() < other.per_node_.size())
-      per_node_.resize(other.per_node_.size(), 0.0);
-    for (std::size_t i = 0; i < other.per_node_.size(); ++i)
-      per_node_[i] += other.per_node_[i];
-  }
-}
-
 void EnergyLedger::enable_per_node(std::size_t n) {
   if (per_node_.size() < n) per_node_.resize(n, 0.0);
 }
@@ -61,11 +50,6 @@ double EnergyLedger::total() const noexcept {
 
 double EnergyLedger::by_use(EnergyUse use) const noexcept {
   return buckets_[static_cast<int>(use)];
-}
-
-double EnergyLedger::fraction(EnergyUse use) const noexcept {
-  const double t = total();
-  return t > 0.0 ? by_use(use) / t : 0.0;
 }
 
 std::string EnergyLedger::summary() const {

@@ -36,7 +36,6 @@ class EnergyLedger {
   /// per-node tracking is enabled (and `node` is a valid id). All simulator
   /// and protocol charge sites attribute, so per-node totals are exhaustive.
   void charge(EnergyUse use, double joules, int node) noexcept;
-  void merge(const EnergyLedger& other) noexcept;
 
   /// Allocates the per-node accumulator for ids [0, n). Off by default —
   /// the SimAuditor turns it on for audited runs.
@@ -51,8 +50,6 @@ class EnergyLedger {
   /// round-conservation audits compare this against battery drain).
   double total() const noexcept;
   double by_use(EnergyUse use) const noexcept;
-  /// Fraction of the total attributed to `use` (0 when nothing charged).
-  double fraction(EnergyUse use) const noexcept;
 
   /// "tx=… rx=… agg=… ctl=… total=…" one-liner for logs and benches.
   std::string summary() const;

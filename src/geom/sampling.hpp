@@ -12,14 +12,6 @@ namespace qlec {
 /// `n` i.i.d. uniform points inside `box` (the paper's random deployment).
 std::vector<Vec3> sample_uniform(std::size_t n, const Aabb& box, Rng& rng);
 
-/// Points drawn around `centers` with isotropic Gaussian spread `sigma`,
-/// clamped into `box`; center choice is weighted by `weights` (empty =>
-/// uniform). Models clumpy real-world deployments (the Fig. 4 dataset).
-std::vector<Vec3> sample_clustered(std::size_t n, const Aabb& box,
-                                   const std::vector<Vec3>& centers,
-                                   const std::vector<double>& weights,
-                                   double sigma, Rng& rng);
-
 /// Terrain-like deployment: uniform in x/y, z follows a smooth ridged
 /// height-field h(x, y) plus jitter (the paper's mountainous motivation).
 std::vector<Vec3> sample_terrain(std::size_t n, const Aabb& box,

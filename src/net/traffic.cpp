@@ -12,13 +12,6 @@ PoissonTraffic::PoissonTraffic(std::size_t nodes, double mean_interarrival,
   }
 }
 
-std::vector<std::size_t> PoissonTraffic::arrivals_in_slot(std::int64_t slot,
-                                                          Rng& rng) {
-  std::vector<std::size_t> out;
-  arrivals_into(slot, rng, out);
-  return out;
-}
-
 void PoissonTraffic::arrivals_into(std::int64_t slot, Rng& rng,
                                    std::vector<std::size_t>& out) {
   out.clear();

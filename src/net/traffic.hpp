@@ -20,13 +20,9 @@ class PoissonTraffic {
   /// generation entirely.
   PoissonTraffic(std::size_t nodes, double mean_interarrival, Rng& rng);
 
-  /// Node indices that generate a packet during global slot `slot`. A node
-  /// can appear multiple times if several arrivals land in one slot.
-  std::vector<std::size_t> arrivals_in_slot(std::int64_t slot, Rng& rng);
-
-  /// Allocation-free variant: clears `out` and refills it with this slot's
-  /// arrivals. Draw order (node id ascending, then arrival time) is
-  /// identical to arrivals_in_slot, so mixing the two is seed-stable.
+  /// Clears `out` and refills it with the node indices that generate a
+  /// packet during global slot `slot`, in node id order, then arrival time.
+  /// A node can appear multiple times if several arrivals land in one slot.
   void arrivals_into(std::int64_t slot, Rng& rng,
                      std::vector<std::size_t>& out);
 

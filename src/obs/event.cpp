@@ -1,7 +1,6 @@
 #include "obs/event.hpp"
 
 #include "util/json.hpp"
-#include "util/log.hpp"
 
 namespace qlec::obs {
 
@@ -91,22 +90,6 @@ void FileSink::flush() {
   const std::lock_guard<std::mutex> lock(mutex_);
   out_.flush();
 }
-
-LogCapture::LogCapture(EventSink& sink) {
-  log::set_writer([&sink](log::Level level, const std::string& message) {
-    const char* name = "?";
-    switch (level) {
-      case log::Level::kDebug: name = "debug"; break;
-      case log::Level::kInfo: name = "info"; break;
-      case log::Level::kWarn: name = "warn"; break;
-      case log::Level::kError: name = "error"; break;
-      case log::Level::kOff: name = "off"; break;
-    }
-    sink.emit(Event("log", -1).with("level", name).with("message", message));
-  });
-}
-
-LogCapture::~LogCapture() { log::set_writer(nullptr); }
 
 RingBufferSink::RingBufferSink(std::size_t capacity)
     : ring_(capacity == 0 ? 1 : capacity, Event("", 0)) {}

@@ -98,22 +98,6 @@ class FileSink final : public EventSink {
   std::mutex mutex_;
 };
 
-/// RAII bridge from the process-global qlec::log channel into an EventSink:
-/// while alive, every emitted log line becomes a {"type":"log"} event with
-/// "level" and "message" fields (round -1) instead of going to stderr.
-/// Process-global like the logger itself — install at most one, typically
-/// around a whole single-process run (see bench/obs_demo). The destructor
-/// restores the stderr default. Sink emits happen under the log mutex, so
-/// lines from pool-mode replications arrive whole, never interleaved.
-class LogCapture {
- public:
-  explicit LogCapture(EventSink& sink);
-  ~LogCapture();
-
-  LogCapture(const LogCapture&) = delete;
-  LogCapture& operator=(const LogCapture&) = delete;
-};
-
 /// Keeps the newest `capacity` events in memory (oldest evicted first).
 /// Useful for tests and post-mortem inspection without touching disk.
 class RingBufferSink final : public EventSink {

@@ -32,12 +32,6 @@ const std::vector<Edge>& ConnectivityGraph::neighbours(int id) const {
   return adjacency_.at(static_cast<std::size_t>(id));
 }
 
-bool ConnectivityGraph::reaches_bs(int id) const {
-  for (const Edge& e : neighbours(id))
-    if (e.to == kBaseStationId) return true;
-  return false;
-}
-
 ShortestPaths min_energy_paths(const ConnectivityGraph& graph) {
   // Dijkstra from the BS backward; edges are symmetric in distance so the
   // reverse graph has the same weights.

@@ -29,8 +29,6 @@ class ConnectivityGraph {
   std::size_t nodes() const noexcept { return adjacency_.size(); }
   /// Outgoing edges of node `id` (sensors only; the BS is a sink).
   const std::vector<Edge>& neighbours(int id) const;
-  /// True if node `id` has a direct BS edge.
-  bool reaches_bs(int id) const;
   double range() const noexcept { return range_; }
 
  private:

@@ -1,7 +1,6 @@
 #include "routing/qelar.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace qlec {
@@ -88,19 +87,6 @@ int QelarRouter::train_episode(int source, std::size_t max_hops, Rng& rng) {
     u = chosen->to;
   }
   return -static_cast<int>(max_hops) - 1;
-}
-
-int QelarRouter::train_to_convergence(double tol, int max_sweeps, Rng& rng) {
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    double max_delta = 0.0;
-    for (std::size_t i = 0; i < net_.size(); ++i) {
-      const double before = v_[i];
-      train_episode(static_cast<int>(i), 4 * net_.size() + 16, rng);
-      max_delta = std::max(max_delta, std::fabs(v_[i] - before));
-    }
-    if (max_delta < tol) return sweep + 1;
-  }
-  return max_sweeps;
 }
 
 std::vector<int> QelarRouter::route(int source, std::size_t max_hops) const {

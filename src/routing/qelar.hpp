@@ -54,10 +54,6 @@ class QelarRouter {
   /// reach the BS).
   int train_episode(int source, std::size_t max_hops, Rng& rng);
 
-  /// Trains round-robin from every node until the max V change over an
-  /// entire sweep drops below `tol` (or `max_sweeps`). Returns sweeps run.
-  int train_to_convergence(double tol, int max_sweeps, Rng& rng);
-
   /// Greedy route from `source` to the BS under the learned values.
   /// Empty when no progress is possible. The path excludes `source` and
   /// ends with kBaseStationId on success.

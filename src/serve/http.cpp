@@ -173,6 +173,10 @@ std::string render_http_response(const HttpResponse& r) {
 HttpServer::HttpServer(std::string host, std::uint16_t port,
                        HttpHandler handler, std::size_t workers)
     : host_(std::move(host)), handler_(std::move(handler)) {
+  if (workers > kMaxThreads)
+    throw std::invalid_argument("HttpServer: " + std::to_string(workers) +
+                                " workers exceed the cap of " +
+                                std::to_string(kMaxThreads));
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("socket(): failed");
   const int one = 1;

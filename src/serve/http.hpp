@@ -61,7 +61,8 @@ std::string render_http_response(const HttpResponse& r);
 class HttpServer {
  public:
   /// Binds + listens + starts accepting. Throws std::runtime_error when the
-  /// socket cannot be bound.
+  /// socket cannot be bound, and std::invalid_argument, before opening
+  /// one, when `workers` exceeds kMaxThreads (0 means 4).
   HttpServer(std::string host, std::uint16_t port, HttpHandler handler,
              std::size_t workers = 0);
   ~HttpServer();  ///< stop()s

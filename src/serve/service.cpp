@@ -1,5 +1,6 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <system_error>
 #include <thread>
@@ -10,6 +11,7 @@
 #include "config/sweep.hpp"
 #include "config/version.hpp"
 #include "obs/telemetry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qlec::serve {
 namespace {
@@ -128,7 +130,8 @@ JobService::JobService(ServiceOptions opts)
     : opts_(std::move(opts)), store_(opts_.cache_dir) {
   config::JobRunnerOptions ro;
   ro.workers = opts_.workers == 0
-                   ? std::max(1u, std::thread::hardware_concurrency())
+                   ? std::clamp<std::size_t>(
+                         std::thread::hardware_concurrency(), 1, kMaxThreads)
                    : opts_.workers;
   ro.store = &store_;
   runner_ = std::make_unique<config::JobRunner>(ro);

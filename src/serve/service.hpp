@@ -36,7 +36,8 @@
 namespace qlec::serve {
 
 struct ServiceOptions {
-  /// Scheduler width (concurrent cells); 0 = hardware concurrency.
+  /// Scheduler width (concurrent cells); 0 = hardware concurrency, capped
+  /// at kMaxThreads. More than kMaxThreads throws std::invalid_argument.
   std::size_t workers = 0;
   /// ResultStore directory; "" keeps the cache in memory only.
   std::string cache_dir;

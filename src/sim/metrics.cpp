@@ -2,27 +2,8 @@
 
 #include <cstdio>
 #include <cstring>
-#include <sstream>
-
-#include "util/csv.hpp"
 
 namespace qlec {
-
-std::string trace_to_csv(const std::vector<RoundStats>& trace) {
-  std::ostringstream out;
-  CsvWriter w(out);
-  w.write_row(CsvRow{"round", "alive", "heads", "residual_j", "generated",
-                     "delivered"});
-  for (const RoundStats& r : trace) {
-    char residual[32];
-    std::snprintf(residual, sizeof residual, "%.9g", r.total_residual);
-    w.write_row(CsvRow{std::to_string(r.round), std::to_string(r.alive),
-                       std::to_string(r.heads), residual,
-                       std::to_string(r.generated),
-                       std::to_string(r.delivered)});
-  }
-  return out.str();
-}
 
 std::uint64_t trace_digest(const std::vector<RoundStats>& trace) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis

@@ -89,10 +89,6 @@ std::uint64_t trace_digest(const std::vector<RoundStats>& trace) noexcept;
 /// format).
 std::string trace_digest_hex(const std::vector<RoundStats>& trace);
 
-/// CSV export of a trace: header `round,alive,heads,residual_j,generated,
-/// delivered` plus one row per round.
-std::string trace_to_csv(const std::vector<RoundStats>& trace);
-
 /// Mean/CI aggregation of SimResults across seeds.
 struct AggregatedMetrics {
   std::string protocol;

@@ -1,20 +1,9 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
 
 namespace qlec {
-namespace {
-
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return s;
-}
-
-}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -61,19 +50,6 @@ std::string CliArgs::get_string(const std::string& key,
   return get(key).value_or(fallback);
 }
 
-double CliArgs::get_double(const std::string& key, double fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double out = std::stod(*v, &pos);
-    if (pos == v->size()) return out;
-  } catch (...) {
-  }
-  errors_.push_back(key);
-  return fallback;
-}
-
 long long CliArgs::get_int(const std::string& key, long long fallback,
                            long long min, long long max) const {
   const auto v = get(key);
@@ -84,16 +60,6 @@ long long CliArgs::get_int(const std::string& key, long long fallback,
     if (pos == v->size() && out >= min && out <= max) return out;
   } catch (...) {
   }
-  errors_.push_back(key);
-  return fallback;
-}
-
-bool CliArgs::get_bool(const std::string& key, bool fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  const std::string s = lower(*v);
-  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
-  if (s == "0" || s == "false" || s == "no" || s == "off") return false;
   errors_.push_back(key);
   return fallback;
 }

@@ -29,16 +29,13 @@ class CliArgs {
   std::vector<std::string> get_all(const std::string& key) const;
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
-  /// Numeric getters return the fallback on missing OR unparseable values
-  /// (an unparseable value also records the key in `errors()`).
-  double get_double(const std::string& key, double fallback) const;
-  /// An integer outside [min, max] counts as unparseable.
+  /// Returns the fallback on a missing OR unparseable value (an
+  /// unparseable value also records the key in `errors()`). An integer
+  /// outside [min, max] counts as unparseable.
   long long get_int(const std::string& key, long long fallback,
                     long long min = std::numeric_limits<long long>::min(),
                     long long max =
                         std::numeric_limits<long long>::max()) const;
-  /// "1", "true", "yes", "on" (case-insensitive) => true.
-  bool get_bool(const std::string& key, bool fallback) const;
 
   const std::vector<std::string>& positional() const noexcept {
     return positional_;

@@ -62,11 +62,6 @@ std::vector<CsvRow> parse_csv(std::string_view text) {
   return rows;
 }
 
-CsvRow parse_csv_line(std::string_view line) {
-  auto rows = parse_csv(line);
-  return rows.empty() ? CsvRow{} : std::move(rows.front());
-}
-
 std::string format_csv_row(const CsvRow& row) {
   std::string out;
   for (std::size_t i = 0; i < row.size(); ++i) {

@@ -19,9 +19,6 @@ using CsvRow = std::vector<std::string>;
 /// line is ignored.
 std::vector<CsvRow> parse_csv(std::string_view text);
 
-/// Parses one line that is known to contain no embedded newlines.
-CsvRow parse_csv_line(std::string_view line);
-
 /// Serializes one row, quoting any field containing a comma, quote, or
 /// newline.
 std::string format_csv_row(const CsvRow& row);

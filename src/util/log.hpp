@@ -31,7 +31,7 @@ void emit(Level l, const std::string& message);
 
 /// Replaces the output backend. The default writes "[LEVEL] message\n" to
 /// stderr; a custom writer receives the level and the unformatted message
-/// (e.g. obs::LogCapture forwards them into a telemetry EventSink).
+/// (tests capture lines this way).
 /// Writers are invoked under the emit mutex — keep them non-blocking and
 /// never call back into qlec::log from inside one. Pass nullptr to restore
 /// the stderr default.

@@ -76,23 +76,6 @@ double Rng::exponential(double mean) noexcept {
   return -mean * std::log1p(-uniform01());
 }
 
-std::uint64_t Rng::poisson(double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean < 64.0) {
-    const double limit = std::exp(-mean);
-    std::uint64_t k = 0;
-    double prod = uniform01();
-    while (prod > limit) {
-      ++k;
-      prod *= uniform01();
-    }
-    return k;
-  }
-  // Normal approximation with continuity correction; fine for traffic rates.
-  const double v = normal(mean, std::sqrt(mean)) + 0.5;
-  return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v);
-}
-
 double Rng::normal(double mu, double sigma) noexcept {
   // Box-Muller; regenerate on the (measure-zero) u1 == 0 draw.
   double u1 = uniform01();
@@ -119,7 +102,5 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) noexcept {
   }
   return weights.size() - 1;
 }
-
-Rng Rng::split() noexcept { return Rng(next_u64()); }
 
 }  // namespace qlec

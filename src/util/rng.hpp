@@ -51,11 +51,6 @@ class Rng {
   /// returns 0.
   double exponential(double mean) noexcept;
 
-  /// Poisson variate with the given mean. Uses Knuth's method for small
-  /// means and a normal approximation above 64 (adequate for traffic
-  /// generation).
-  std::uint64_t poisson(double mean) noexcept;
-
   /// Normal variate (Box-Muller, one value per call; no cached spare so the
   /// stream position is predictable).
   double normal(double mu, double sigma) noexcept;
@@ -75,10 +70,6 @@ class Rng {
   /// Samples an index from non-negative weights (linear scan). All-zero or
   /// empty weights fall back to uniform / zero respectively.
   std::size_t weighted_index(const std::vector<double>& weights) noexcept;
-
-  /// Derives an independent child generator; used to give each simulation
-  /// seed and each worker thread its own stream.
-  Rng split() noexcept;
 
  private:
   std::array<std::uint64_t, 4> state_;

@@ -20,23 +20,6 @@ void RunningStats::add(double x) noexcept {
   max_ = std::max(max_, x);
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double nt = na + nb;
-  mean_ += delta * nb / nt;
-  m2_ += other.m2_ + delta * delta * na * nb / nt;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 RunningStats RunningStats::from_moments(std::size_t count, double mean,
                                         double m2, double min,
                                         double max) noexcept {
@@ -74,13 +57,6 @@ double percentile(std::vector<double> values, double q) {
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-double mean_of(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double s = 0.0;
-  for (const double v : values) s += v;
-  return s / static_cast<double>(values.size());
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

@@ -12,7 +12,6 @@ namespace qlec {
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   std::size_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ ? mean_ : 0.0; }
@@ -50,9 +49,6 @@ class RunningStats {
 /// Interpolated percentile (q in [0,1]) of an unsorted sample. Copies and
 /// sorts; returns 0 for an empty sample.
 double percentile(std::vector<double> values, double q);
-
-/// Arithmetic mean; 0 for an empty sample.
-double mean_of(const std::vector<double>& values);
 
 /// Fixed-bin histogram over [lo, hi); values outside are clamped into the
 /// first/last bin so mass is never silently dropped.

@@ -14,6 +14,12 @@
 
 namespace qlec {
 
+/// Upper bound on a worker count taken from outside the program (a CLI
+/// option, an env var, a library caller): JobRunner and HttpServer reject
+/// more with std::invalid_argument before starting any thread, so a
+/// mistyped count cannot start millions of them.
+inline constexpr std::size_t kMaxThreads = 256;
+
 class ThreadPool {
  public:
   /// `threads == 0` uses the hardware concurrency (minimum 1).

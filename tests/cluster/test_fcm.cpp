@@ -6,6 +6,7 @@
 #include <set>
 
 #include "geom/sampling.hpp"
+#include "support/sampling.hpp"
 
 namespace qlec {
 namespace {
@@ -60,13 +61,6 @@ TEST(Fcm, CentersNearBlobCenters) {
                               distance(r.centers[1], c));
     EXPECT_LT(d, 5.0);
   }
-}
-
-TEST(Fcm, HardenPicksArgmax) {
-  FcmResult r;
-  r.membership = {{0.2, 0.8}, {0.9, 0.1}};
-  r.centers = {{0, 0, 0}, {1, 1, 1}};
-  EXPECT_EQ(r.harden(), (std::vector<int>{1, 0}));
 }
 
 TEST(Fcm, CoincidentPointGetsFullMembership) {

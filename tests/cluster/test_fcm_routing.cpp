@@ -15,6 +15,17 @@ Network line_network() {
   return Network(pts, 5.0, /*bs=*/{0, 0, 0}, Aabb::cube(100.0));
 }
 
+// The relay chain a head's aggregate follows: fcm_next_hop until the BS.
+std::vector<int> route_to_bs(const Network& net, const FcmHierarchy& h,
+                             int from_head) {
+  std::vector<int> path;
+  for (int at = from_head; at != kBaseStationId;) {
+    at = fcm_next_hop(net, h, at);
+    path.push_back(at);
+  }
+  return path;
+}
+
 TEST(FcmHierarchy, EmptyHeads) {
   const Network net = line_network();
   const FcmHierarchy h = build_fcm_hierarchy(net, {}, 3);
@@ -79,7 +90,7 @@ TEST(FcmRouteToBs, PathTerminatesAtBs) {
   const Network net = line_network();
   const std::vector<int> heads{0, 2, 4, 6};
   const FcmHierarchy h = build_fcm_hierarchy(net, heads, 4);
-  const auto path = fcm_route_to_bs(net, h, 6);
+  const auto path = route_to_bs(net, h, 6);
   ASSERT_FALSE(path.empty());
   EXPECT_EQ(path.back(), kBaseStationId);
   // Strictly descending levels => no repeats, bounded length.
@@ -90,8 +101,8 @@ TEST(FcmRouteToBs, OuterPathsAreLonger) {
   const Network net = line_network();
   const std::vector<int> heads{0, 2, 4, 6};
   const FcmHierarchy h = build_fcm_hierarchy(net, heads, 4);
-  EXPECT_GT(fcm_route_to_bs(net, h, 6).size(),
-            fcm_route_to_bs(net, h, 0).size());
+  EXPECT_GT(route_to_bs(net, h, 6).size(),
+            route_to_bs(net, h, 0).size());
 }
 
 TEST(FcmRouteToBs, SingleLevelEveryoneDirect) {
@@ -99,7 +110,7 @@ TEST(FcmRouteToBs, SingleLevelEveryoneDirect) {
   const std::vector<int> heads{1, 4, 7};
   const FcmHierarchy h = build_fcm_hierarchy(net, heads, 1);
   for (const int head : heads) {
-    const auto path = fcm_route_to_bs(net, h, head);
+    const auto path = route_to_bs(net, h, head);
     EXPECT_EQ(path, (std::vector<int>{kBaseStationId}));
   }
 }

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "geom/sampling.hpp"
+#include "support/sampling.hpp"
 
 namespace qlec {
 namespace {

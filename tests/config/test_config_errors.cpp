@@ -13,6 +13,7 @@
 
 #include "config/sweep.hpp"
 #include "digest.hpp"
+#include "support/parse_experiment.hpp"
 #include "util/rng.hpp"
 
 namespace qlec::config {

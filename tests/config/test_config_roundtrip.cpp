@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "digest.hpp"
+#include "support/parse_experiment.hpp"
 #include "util/rng.hpp"
 
 namespace qlec::config {

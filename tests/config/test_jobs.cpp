@@ -22,6 +22,7 @@
 #include "digest.hpp"
 #include "sim/protocols/registry.hpp"
 #include "util/csv.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qlec::config {
 namespace {
@@ -218,6 +219,12 @@ TEST(ResultStore, CorruptOrForeignDiskEntriesReadAsMisses) {
   write_text_file(dir + "/" + key + ".json",
                   cell_record_to_json(run_cell(cell), key, "other-build"));
   EXPECT_FALSE(store.lookup(key).has_value());
+}
+
+TEST(JobRunner, WorkersOverTheCapThrowBeforeAnyThreadStarts) {
+  JobRunnerOptions opts;
+  opts.workers = kMaxThreads + 1;
+  EXPECT_THROW(JobRunner{opts}, std::invalid_argument);
 }
 
 TEST(JobRunner, ConcurrentIdenticalSubmitsSimulateOnce) {
@@ -589,25 +596,47 @@ TEST(CacheAddressPin, JobKeysOfCommittedScenarios) {
 // fault and trajectory blocks included: job keys hash these bytes, so a
 // schema binding change must leave them identical.
 TEST(CacheAddressPin, ConfigEchoOfEveryCommittedScenario) {
-  std::vector<std::string> files;
+  // The two example scenarios joined after the first 26 files were pinned;
+  // they get their own literals, so the first ones still compare against
+  // the same bytes.
+  const auto is_example = [](const std::filesystem::path& p) {
+    return p.filename() == "mountain_deployment.json" ||
+           p.filename() == "underwater_monitoring.json";
+  };
+  std::vector<std::string> files, examples;
   for (const char* dir : {QLEC_SCENARIO_DIR, QLEC_PERFBENCH_SCENARIO_DIR})
     for (const auto& e : std::filesystem::recursive_directory_iterator(dir))
-      if (e.path().extension() == ".json") files.push_back(e.path().string());
+      if (e.path().extension() == ".json")
+        (is_example(e.path()) ? examples : files)
+            .push_back(e.path().string());
   std::sort(files.begin(), files.end());
+  std::sort(examples.begin(), examples.end());
   ASSERT_EQ(files.size(), 26u);
-  std::string echoes;
-  std::size_t cells = 0;
-  for (const std::string& file : files) {
-    const auto text = read_text_file(file);
-    ASSERT_TRUE(text.has_value()) << file;
-    for (const SweepCell& cell : expand_grid(parse_scenario(*text))) {
-      echoes += experiment_to_json(cell.config);
-      ++cells;
+  ASSERT_EQ(examples.size(), 2u);
+  const auto echo_all = [](const std::vector<std::string>& paths,
+                           std::size_t& cells) {
+    std::string echoes;
+    for (const std::string& file : paths) {
+      const auto text = read_text_file(file);
+      if (!text) throw std::runtime_error("missing " + file);
+      for (const SweepCell& cell : expand_grid(parse_scenario(*text))) {
+        echoes += experiment_to_json(cell.config);
+        ++cells;
+      }
     }
-  }
+    return echoes;
+  };
+  std::size_t cells = 0;
+  const std::string echoes = echo_all(files, cells);
   EXPECT_EQ(cells, 248u);
   EXPECT_EQ(echoes.size(), 620555u);
   EXPECT_EQ(fnv1a64_hex(echoes), "632669205a6da9a5");
+
+  std::size_t example_cells = 0;
+  const std::string example_echoes = echo_all(examples, example_cells);
+  EXPECT_EQ(example_cells, 7u);
+  EXPECT_EQ(example_echoes.size(), 17389u);
+  EXPECT_EQ(fnv1a64_hex(example_echoes), "71b25c51ba1670b0");
 }
 
 TEST(CacheAddressPin, ManifestBytesOfATwoCellRun) {

@@ -1,4 +1,4 @@
-#include "rl/qlearning.hpp"
+#include "core/qlec_routing.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,8 +1,8 @@
-#include "rl/value_iteration.hpp"
+#include "support/value_iteration.hpp"
 
 #include <gtest/gtest.h>
 
-#include "rl/qlearning.hpp"
+#include "core/qlec_routing.hpp"
 
 namespace qlec {
 namespace {

@@ -55,20 +55,6 @@ TEST(ParsePowerPlants, MissingRequiredColumnFails) {
   EXPECT_FALSE(parse_power_plants("").has_value());
 }
 
-TEST(FormatPowerPlants, RoundTrips) {
-  const auto plants = parse_power_plants(kSampleCsv);
-  ASSERT_TRUE(plants.has_value());
-  const std::string csv = format_power_plants(*plants);
-  const auto again = parse_power_plants(csv);
-  ASSERT_TRUE(again.has_value());
-  ASSERT_EQ(again->size(), plants->size());
-  for (std::size_t i = 0; i < plants->size(); ++i) {
-    EXPECT_EQ((*again)[i].name, (*plants)[i].name);
-    EXPECT_NEAR((*again)[i].capacity_mw, (*plants)[i].capacity_mw, 1e-6);
-    EXPECT_NEAR((*again)[i].latitude, (*plants)[i].latitude, 1e-6);
-  }
-}
-
 TEST(DatasetToNetwork, BasicConversion) {
   const auto plants = parse_power_plants(kSampleCsv);
   ASSERT_TRUE(plants.has_value());

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
+#include "util/csv.hpp"
 #include "util/stats.hpp"
 
 namespace qlec {
@@ -60,13 +63,15 @@ TEST(SyntheticGppd, CapacitiesHeavyTailed) {
   const auto plants = generate_synthetic_gppd();
   std::vector<double> caps;
   caps.reserve(plants.size());
+  RunningStats stats;
   for (const PowerPlant& p : plants) {
     EXPECT_GT(p.capacity_mw, 0.0);
     caps.push_back(p.capacity_mw);
+    stats.add(p.capacity_mw);
   }
   // Log-normal: mean far above median.
   const double med = percentile(caps, 0.5);
-  EXPECT_GT(mean_of(caps), 1.5 * med);
+  EXPECT_GT(stats.mean(), 1.5 * med);
 }
 
 TEST(SyntheticGppd, SpatiallyClumpy) {
@@ -92,9 +97,22 @@ TEST(SyntheticGppd, RoundTripsThroughCsv) {
   SyntheticGppdConfig cfg;
   cfg.plants = 50;
   const auto plants = generate_synthetic_gppd(cfg);
-  const auto again = parse_power_plants(format_power_plants(plants));
+  std::ostringstream csv;
+  CsvWriter w(csv);
+  w.write_row(CsvRow{"name", "capacity_mw", "latitude", "longitude",
+                     "height_m"});
+  for (const PowerPlant& p : plants)
+    w.write_row(CsvRow{p.name, std::to_string(p.capacity_mw),
+                       std::to_string(p.latitude),
+                       std::to_string(p.longitude),
+                       std::to_string(p.height_m)});
+  const auto again = parse_power_plants(csv.str());
   ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->size(), 50u);
+  ASSERT_EQ(again->size(), 50u);
+  for (std::size_t i = 0; i < plants.size(); ++i) {
+    EXPECT_EQ((*again)[i].name, plants[i].name);
+    EXPECT_NEAR((*again)[i].latitude, plants[i].latitude, 1e-6);
+  }
 }
 
 TEST(SyntheticGppd, ConvertsToUsableNetwork) {

@@ -9,7 +9,6 @@ TEST(EnergyLedger, StartsEmpty) {
   const EnergyLedger l;
   EXPECT_DOUBLE_EQ(l.total(), 0.0);
   EXPECT_DOUBLE_EQ(l.by_use(EnergyUse::kTransmit), 0.0);
-  EXPECT_DOUBLE_EQ(l.fraction(EnergyUse::kTransmit), 0.0);
 }
 
 TEST(EnergyLedger, ChargesAccumulate) {
@@ -26,28 +25,6 @@ TEST(EnergyLedger, NegativeChargeIgnored) {
   EnergyLedger l;
   l.charge(EnergyUse::kAggregate, -5.0);
   EXPECT_DOUBLE_EQ(l.total(), 0.0);
-}
-
-TEST(EnergyLedger, FractionsSumToOne) {
-  EnergyLedger l;
-  l.charge(EnergyUse::kTransmit, 6.0);
-  l.charge(EnergyUse::kReceive, 3.0);
-  l.charge(EnergyUse::kAggregate, 1.0);
-  EXPECT_DOUBLE_EQ(l.fraction(EnergyUse::kTransmit), 0.6);
-  EXPECT_DOUBLE_EQ(l.fraction(EnergyUse::kReceive), 0.3);
-  EXPECT_DOUBLE_EQ(l.fraction(EnergyUse::kAggregate), 0.1);
-  EXPECT_DOUBLE_EQ(l.fraction(EnergyUse::kControl), 0.0);
-}
-
-TEST(EnergyLedger, MergeAddsBuckets) {
-  EnergyLedger a, b;
-  a.charge(EnergyUse::kTransmit, 1.0);
-  b.charge(EnergyUse::kTransmit, 2.0);
-  b.charge(EnergyUse::kControl, 4.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.by_use(EnergyUse::kTransmit), 3.0);
-  EXPECT_DOUBLE_EQ(a.by_use(EnergyUse::kControl), 4.0);
-  EXPECT_DOUBLE_EQ(a.total(), 7.0);
 }
 
 TEST(EnergyLedger, SummaryMentionsAllBuckets) {

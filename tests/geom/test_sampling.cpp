@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "support/sampling.hpp"
+
 namespace qlec {
 namespace {
 

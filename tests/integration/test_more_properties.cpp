@@ -8,8 +8,8 @@
 #include "cluster/heed.hpp"
 #include "core/qlec_routing.hpp"
 #include "geom/sampling.hpp"
-#include "rl/value_iteration.hpp"
 #include "sim/experiment.hpp"
+#include "support/value_iteration.hpp"
 
 namespace qlec {
 namespace {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "util/json.hpp"
-#include "util/log.hpp"
 
 namespace qlec {
 namespace {
@@ -113,31 +112,6 @@ TEST(FileSink, WritesOneParsableLinePerEvent) {
     EXPECT_TRUE(parse_json(line, &err).has_value()) << err;
   }
   std::remove(path.c_str());
-}
-
-TEST(LogCapture, BridgesLogLinesIntoSinkAndRestores) {
-  const log::Level saved = log::level();
-  log::set_level(log::Level::kInfo);
-  obs::RingBufferSink ring(16);
-  {
-    obs::LogCapture capture(ring);
-    log::warn("telemetry ", 42);
-  }
-  // Restored: logging after the capture dies must not reach the sink.
-  std::string outside;
-  log::set_writer(
-      [&outside](log::Level, const std::string& m) { outside = m; });
-  log::warn("after capture");
-  log::set_writer(nullptr);
-  log::set_level(saved);
-
-  EXPECT_EQ(outside, "after capture");
-  ASSERT_EQ(ring.size(), 1u);
-  const obs::Event e = ring.snapshot()[0];
-  EXPECT_EQ(e.type(), "log");
-  EXPECT_EQ(e.round(), -1);
-  EXPECT_EQ(e.field("level")->s, "warn");
-  EXPECT_EQ(e.field("message")->s, "telemetry 42");
 }
 
 }  // namespace

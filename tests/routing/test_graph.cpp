@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "geom/sampling.hpp"
@@ -25,8 +26,12 @@ TEST(ConnectivityGraph, EdgesRespectRange) {
   EXPECT_EQ(g.neighbours(2).size(), 2u);
   // Node 0 (x=30): neighbour node 1 plus the BS at 30 m.
   EXPECT_EQ(g.neighbours(0).size(), 2u);
-  EXPECT_TRUE(g.reaches_bs(0));
-  EXPECT_FALSE(g.reaches_bs(3));
+  const auto has_bs_edge = [&g](int id) {
+    return std::any_of(g.neighbours(id).begin(), g.neighbours(id).end(),
+                       [](const Edge& e) { return e.to == kBaseStationId; });
+  };
+  EXPECT_TRUE(has_bs_edge(0));
+  EXPECT_FALSE(has_bs_edge(3));
 }
 
 TEST(ConnectivityGraph, EdgeEnergyMatchesRadioModel) {

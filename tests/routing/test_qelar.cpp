@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "geom/sampling.hpp"
 
 namespace qlec {
@@ -12,6 +15,22 @@ Network line_network(int n, double spacing = 30.0) {
   for (int i = 1; i <= n; ++i)
     pts.push_back({spacing * static_cast<double>(i), 0, 0});
   return Network(pts, 5.0, {0, 0, 0}, Aabb::cube(spacing * (n + 1)));
+}
+
+// Trains round-robin from every node until the max V change over an entire
+// sweep drops below `tol` (or `max_sweeps` sweeps have run).
+void train_to_convergence(QelarRouter& router, std::size_t nodes, double tol,
+                          int max_sweeps, Rng& rng) {
+  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+    double max_delta = 0.0;
+    for (std::size_t i = 0; i < nodes; ++i) {
+      const int id = static_cast<int>(i);
+      const double before = router.v(id);
+      router.train_episode(id, 4 * nodes + 16, rng);
+      max_delta = std::max(max_delta, std::fabs(router.v(id) - before));
+    }
+    if (max_delta < tol) return;
+  }
 }
 
 QelarParams deterministic_params() {
@@ -26,7 +45,7 @@ TEST(Qelar, LearnsToReachBsOnLine) {
   const ConnectivityGraph g(net, 35.0, 4000.0, RadioModel{});
   QelarRouter router(g, net, deterministic_params());
   Rng rng(1);
-  router.train_to_convergence(1e-10, 200, rng);
+  train_to_convergence(router, net.size(), 1e-10, 200, rng);
   for (int src = 0; src < 6; ++src) {
     const auto path = router.route(src);
     ASSERT_FALSE(path.empty()) << src;
@@ -41,7 +60,7 @@ TEST(Qelar, ValuesDecreaseWithDistanceFromBs) {
   const ConnectivityGraph g(net, 35.0, 4000.0, RadioModel{});
   QelarRouter router(g, net, deterministic_params());
   Rng rng(2);
-  router.train_to_convergence(1e-10, 200, rng);
+  train_to_convergence(router, net.size(), 1e-10, 200, rng);
   for (int i = 1; i < 6; ++i) EXPECT_LT(router.v(i), router.v(i - 1));
 }
 
@@ -53,7 +72,7 @@ TEST(Qelar, PrefersRelayOverLongDirectHop) {
   const ConnectivityGraph g(net, 200.0, 4000.0, RadioModel{});
   QelarRouter router(g, net, deterministic_params());
   Rng rng(3);
-  router.train_to_convergence(1e-10, 200, rng);
+  train_to_convergence(router, net.size(), 1e-10, 200, rng);
   const auto path = router.route(1);
   ASSERT_EQ(path.size(), 2u);
   EXPECT_EQ(path[0], 0);
@@ -68,7 +87,7 @@ TEST(Qelar, RouteEnergyNearDijkstraOptimum) {
   const ShortestPaths sp = min_energy_paths(g);
   QelarRouter router(g, net, deterministic_params());
   Rng rng(5);
-  router.train_to_convergence(1e-10, 400, rng);
+  train_to_convergence(router, net.size(), 1e-10, 400, rng);
   int reachable = 0, routed = 0;
   double stretch_worst = 0.0;
   for (int src = 0; src < 50; ++src) {
@@ -106,7 +125,7 @@ TEST(Qelar, LossyLinksSlowButDoNotBreakTraining) {
   params.p_success = 0.7;
   QelarRouter router(g, net, params);
   Rng rng(7);
-  router.train_to_convergence(1e-8, 500, rng);
+  train_to_convergence(router, net.size(), 1e-8, 500, rng);
   const auto path = router.route(3);
   ASSERT_FALSE(path.empty());
   EXPECT_EQ(path.back(), kBaseStationId);
@@ -142,7 +161,7 @@ TEST(Qelar, DrainedRelayLosesAttraction) {
   const ConnectivityGraph g(net, 130.0, 4000.0, RadioModel{});
   QelarRouter router(g, net, deterministic_params());
   Rng rng(9);
-  router.train_to_convergence(1e-10, 300, rng);
+  train_to_convergence(router, net.size(), 1e-10, 300, rng);
   const auto path = router.route(2);
   ASSERT_GE(path.size(), 2u);
   EXPECT_EQ(path[0], 1);  // the healthy relay

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -28,6 +29,7 @@
 #include "serve/http.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 
 #ifndef QLEC_SCENARIO_DIR
 #error "QLEC_SCENARIO_DIR must point at examples/scenarios"
@@ -187,6 +189,21 @@ TEST(HttpClient, OutOfRangeStatusIsAMalformedResponse) {
   EXPECT_FALSE(
       http_request("127.0.0.1", server.port(), "GET", "/", "", &error));
   EXPECT_EQ(error, "malformed response");
+}
+
+TEST(HttpServer, WorkersOverTheCapThrowBeforeTheSocketOpens) {
+  // The address is invalid too: a server that opened its socket first
+  // would throw runtime_error("invalid listen address") instead.
+  EXPECT_THROW(HttpServer("not-an-address", 0,
+                          [](const HttpRequest&, HttpResponse&) {},
+                          kMaxThreads + 1),
+               std::invalid_argument);
+}
+
+TEST(JobService, WorkersOverTheCapThrow) {
+  ServiceOptions opts;
+  opts.workers = kMaxThreads + 1;
+  EXPECT_THROW(JobService{opts}, std::invalid_argument);
 }
 
 TEST_F(ServeTest, HealthzReportsVersions) {

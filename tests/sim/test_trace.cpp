@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hpp"
-#include "util/csv.hpp"
 
 namespace qlec {
 namespace {
@@ -60,20 +59,6 @@ TEST(Trace, AliveNeverIncreasesWithoutHarvest) {
   const SimResult& r = results[0];
   for (std::size_t i = 1; i < r.trace.size(); ++i)
     EXPECT_LE(r.trace[i].alive, r.trace[i - 1].alive);
-}
-
-TEST(Trace, CsvRoundTripsStructure) {
-  const auto results = run_replications("qlec", traced_config());
-  const std::string csv = trace_to_csv(results[0].trace);
-  const auto rows = parse_csv(csv);
-  ASSERT_EQ(rows.size(), results[0].trace.size() + 1);
-  EXPECT_EQ(rows[0][0], "round");
-  EXPECT_EQ(rows[0].size(), 6u);
-  // Spot-check a data row.
-  const RoundStats& rs = results[0].trace[2];
-  EXPECT_EQ(std::stoi(rows[3][0]), rs.round);
-  EXPECT_EQ(std::stoul(rows[3][1]), rs.alive);
-  EXPECT_NEAR(std::stod(rows[3][3]), rs.total_residual, 1e-6);
 }
 
 TEST(Trace, HeadsColumnMatchesProtocolBehaviour) {

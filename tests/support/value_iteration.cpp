@@ -1,4 +1,4 @@
-#include "rl/value_iteration.hpp"
+#include "support/value_iteration.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,6 +1,7 @@
-// Exact dynamic-programming solver for finite MDPs. Used to validate the
-// model-based Q backup (TwoOutcomeTransition, QlecRouter) against ground
-// truth (Bellman optimality, Eq. 13-15 of the paper) on small instances.
+// Exact dynamic-programming solver for finite MDPs: the test oracle that
+// validates the model-based Q backup (TwoOutcomeTransition, QlecRouter in
+// core/qlec_routing.hpp) against ground truth (Bellman optimality, Eq. 13-15
+// of the paper) on small instances.
 #pragma once
 
 #include <cstddef>

@@ -58,11 +58,6 @@ TEST(ParseCsv, EmptyInput) {
   EXPECT_TRUE(parse_csv("").empty());
 }
 
-TEST(ParseCsvLine, SingleLine) {
-  EXPECT_EQ(parse_csv_line("p,q,r"), (CsvRow{"p", "q", "r"}));
-  EXPECT_TRUE(parse_csv_line("").empty());
-}
-
 TEST(FormatCsvRow, PlainFields) {
   EXPECT_EQ(format_csv_row({"a", "b"}), "a,b");
 }

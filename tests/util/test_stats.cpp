@@ -40,35 +40,6 @@ TEST(RunningStats, KnownSample) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStats, MergeEqualsCombined) {
-  RunningStats a, b, all;
-  Rng rng(5);
-  for (int i = 0; i < 500; ++i) {
-    const double v = rng.normal(3.0, 2.0);
-    (i % 2 ? a : b).add(v);
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-10);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  const double mean_before = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean_before);
-  RunningStats b;
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.mean(), mean_before);
-  EXPECT_EQ(b.count(), 2u);
-}
-
 TEST(RunningStats, CvZeroMean) {
   RunningStats s;
   s.add(-1.0);
@@ -102,11 +73,6 @@ TEST(Percentile, ExtremesAndClamping) {
   EXPECT_DOUBLE_EQ(percentile(v, 1.0), 5.0);
   EXPECT_DOUBLE_EQ(percentile(v, -0.5), 1.0);
   EXPECT_DOUBLE_EQ(percentile(v, 2.0), 5.0);
-}
-
-TEST(MeanOf, Basics) {
-  EXPECT_EQ(mean_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(mean_of({2.0, 4.0}), 3.0);
 }
 
 TEST(Histogram, BinsAndClamping) {
