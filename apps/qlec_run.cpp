@@ -48,7 +48,8 @@ const std::vector<std::pair<std::string, std::string>> kOptions = {
                  "manifest still goes to --out)"},
     {"--expect-digests <file>", "compare digests against <file> (golden "
                                 "format: hex lines, # comments); exit 1 on "
-                                "mismatch (implies --digest)"},
+                                "mismatch (records traces as --digest does; "
+                                "stdout keeps the CSV or --json)"},
     {"--audit", "run the invariant auditor on every cell"},
     {"--audit-throw", "auditor aborts the run on the first violation"},
     {"--quiet", "suppress per-cell progress lines"},
